@@ -26,6 +26,13 @@ import (
 //	    Marks a function as a blessed pooled-buffer provider: its
 //	    callers' results are tracked as pooled by poolaudit, and the
 //	    ownership-establishing stores inside it are trusted.
+//
+//	//ssync:pooled release [note]
+//	    Marks a function or method as a recycler: a call releases its
+//	    receiver (a method) or its first argument (a function) back to
+//	    its pool, exactly like sync.Pool.Put, so poolaudit flags any
+//	    later use of the recycled value. The body is trusted like a
+//	    provider's.
 const (
 	directivePrefix = "//ssync:"
 	verbIgnore      = "ignore"
@@ -36,16 +43,23 @@ const (
 // HasMarker reports whether the comment group carries the marker
 // directive //ssync:<name> (with or without trailing text).
 func HasMarker(cg *ast.CommentGroup, name string) bool {
+	_, ok := MarkerText(cg, name)
+	return ok
+}
+
+// MarkerText returns the text following the marker directive
+// //ssync:<name> in the comment group, and whether the marker is there.
+func MarkerText(cg *ast.CommentGroup, name string) (string, bool) {
 	if cg == nil {
-		return false
+		return "", false
 	}
 	for _, c := range cg.List {
-		verb, _, ok := splitDirective(c.Text)
+		verb, rest, ok := splitDirective(c.Text)
 		if ok && verb == name {
-			return true
+			return rest, true
 		}
 	}
-	return false
+	return "", false
 }
 
 // HasIgnore reports whether the comment group carries a well-formed

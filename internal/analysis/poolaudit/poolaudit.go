@@ -17,6 +17,10 @@
 //   - //ssync:pooled on a function marks it a pooled-buffer provider —
 //     its callers' results are tracked like pool.Get results, and the
 //     ownership-establishing stores inside it are trusted;
+//   - //ssync:pooled release marks a recycler — a call releases its
+//     receiver (method) or first argument (function) like a pool.Put,
+//     so a later use of the recycled value (a pending or future after
+//     its Wait, say) is flagged as use-after-release;
 //   - //ssync:ignore poolaudit <why> blesses a documented hand-off
 //     (an owner struct that carries the buffer to a single release
 //     point, a goroutine joined before release).
@@ -26,6 +30,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"strings"
 
 	"ssync/internal/analysis"
 )
@@ -40,17 +45,23 @@ var Analyzer = &analysis.Analyzer{
 }
 
 func run(pass *analysis.Pass) error {
-	// Provider functions of this package: results tracked as pooled.
+	// Provider functions of this package (results tracked as pooled)
+	// and recyclers (calls release their receiver or first argument).
 	providers := map[*types.Func]bool{}
+	recyclers := map[*types.Func]bool{}
 	for _, f := range pass.Files {
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
 			if !ok {
 				continue
 			}
-			if analysis.HasMarker(fd.Doc, "pooled") {
+			if text, ok := analysis.MarkerText(fd.Doc, "pooled"); ok {
 				if fn, ok := pass.Info.Defs[fd.Name].(*types.Func); ok {
-					providers[fn] = true
+					if word, _, _ := strings.Cut(text, " "); word == "release" {
+						recyclers[fn] = true
+					} else {
+						providers[fn] = true
+					}
 				}
 			}
 		}
@@ -66,19 +77,23 @@ func run(pass *analysis.Pass) error {
 				// into its ownership structure.
 				continue
 			}
-			checkFunc(pass, fd, providers)
+			checkFunc(pass, fd, providers, recyclers)
 		}
 	}
 	return nil
 }
 
 // checkFunc analyzes one function body.
-func checkFunc(pass *analysis.Pass, fd *ast.FuncDecl, providers map[*types.Func]bool) {
+func checkFunc(pass *analysis.Pass, fd *ast.FuncDecl, providers, recyclers map[*types.Func]bool) {
 	// root identity: every pooled value descends from one source call;
 	// aliases share the root so use-after-Put follows derived views.
 	nextRoot := 0
 	pooled := map[*types.Var]int{} // var → root id
-	putAt := map[int]token.Pos{}   // root id → position of its Put
+	type release struct {
+		end token.Pos
+		how string // "its Put", or the recycler call
+	}
+	putAt := map[int]release{} // root id → its Put or recycling release
 
 	// rootOf reports whether e evaluates to pooled memory and which
 	// source it descends from.
@@ -210,14 +225,19 @@ func checkFunc(pass *analysis.Pass, fd *ast.FuncDecl, providers map[*types.Func]
 			case *ast.CallExpr:
 				if isPoolPut(pass, n) && len(n.Args) > 0 {
 					if root, ok := rootOf(n.Args[0]); ok && !inDefer {
-						putAt[root] = n.End()
+						putAt[root] = release{n.End(), "its Put"}
+					}
+				}
+				if x, name := recycled(pass, n, recyclers); x != nil {
+					if root, ok := rootOf(x); ok && !inDefer {
+						putAt[root] = release{n.End(), "its release by " + name}
 					}
 				}
 			case *ast.Ident:
 				if v, ok := pass.Info.Uses[n].(*types.Var); ok {
 					if root, ok := pooled[v]; ok {
-						if end, done := putAt[root]; done && n.Pos() > end {
-							report(n.Pos(), "pooled buffer %s used after its Put; the pool may already have handed it to another goroutine", n.Name)
+						if rel, done := putAt[root]; done && n.Pos() > rel.end {
+							report(n.Pos(), "pooled buffer %s used after %s; the pool may already have handed it to another goroutine", n.Name, rel.how)
 							delete(putAt, root) // one finding per release
 						}
 					}
@@ -263,6 +283,30 @@ func isPoolMethod(pass *analysis.Pass, call *ast.CallExpr, name string) bool {
 	n, ok := t.(*types.Named)
 	return ok && n.Obj().Pkg() != nil &&
 		n.Obj().Pkg().Path() == "sync" && n.Obj().Name() == "Pool"
+}
+
+// recycled matches a call to a recycler of this package and returns
+// the value it releases — the receiver of a method, the first argument
+// of a function — and the recycler's name.
+func recycled(pass *analysis.Pass, call *ast.CallExpr, recyclers map[*types.Func]bool) (ast.Expr, string) {
+	switch fun := analysis.Unparen(call.Fun).(type) {
+	case *ast.Ident:
+		if fn, ok := pass.Info.Uses[fun].(*types.Func); ok && recyclers[fn] && len(call.Args) > 0 {
+			return call.Args[0], fn.Name()
+		}
+	case *ast.SelectorExpr:
+		fn, ok := pass.Info.Uses[fun.Sel].(*types.Func)
+		if !ok || !recyclers[fn] {
+			return nil, ""
+		}
+		if sel, ok := pass.Info.Selections[fun]; ok && sel.Kind() == types.MethodVal {
+			return fun.X, fn.Name()
+		}
+		if len(call.Args) > 0 {
+			return call.Args[0], fn.Name()
+		}
+	}
+	return nil, ""
 }
 
 // isProviderCall matches calls to //ssync:pooled functions of this

@@ -1,6 +1,7 @@
 // Package fixtures seeds poolaudit violations: pooled buffers escaping
 // into fields, literals, channels, goroutines and returns, plus
-// use-after-Put — and the blessed ownership patterns that stay silent.
+// use-after-Put and use-after-recycle of a pooled pending or future —
+// and the blessed ownership patterns that stay silent.
 package fixtures
 
 import "sync"
@@ -129,4 +130,63 @@ func blessedSend(ch chan []byte) {
 	b := bufPool.Get().([]byte)
 	//ssync:ignore poolaudit blocking hand-off; the receiver is the single release point
 	ch <- b
+}
+
+// pending mirrors a pooled in-flight op group whose Wait is its
+// recycle point: the caller owns it from getPending until Wait, and
+// must not touch it afterwards.
+type pending struct {
+	outcome int
+}
+
+// future mirrors a pooled per-node future.
+type future struct {
+	resp int
+}
+
+var (
+	pendingPool = sync.Pool{New: func() any { return new(pending) }}
+	futurePool  = sync.Pool{New: func() any { return new(future) }}
+)
+
+// getPending hands out a recycled pending.
+//
+//ssync:pooled
+func getPending() *pending { return pendingPool.Get().(*pending) }
+
+// Wait resolves the group and recycles the pending — a method recycler.
+//
+//ssync:pooled release the pending returns to its pool at Wait
+func (p *pending) Wait() int {
+	n := p.outcome
+	pendingPool.Put(p)
+	return n
+}
+
+// releaseFuture recycles a future — a function recycler.
+//
+//ssync:pooled release
+func releaseFuture(f *future) { futurePool.Put(f) }
+
+// useAfterWait is the seeded use-after-recycle: the pending is read
+// after its Wait has handed it back to the pool.
+func useAfterWait() int {
+	p := getPending()
+	n := p.Wait()
+	return n + p.outcome // want `pooled buffer p used after its release by Wait`
+}
+
+// futureAfterRelease reads a future its recycler already released.
+func futureAfterRelease() int {
+	f := futurePool.Get().(*future)
+	releaseFuture(f)
+	return f.resp + 1 // want `pooled buffer f used after its release by releaseFuture`
+}
+
+// waitOnce is the blessed shape: everything the caller needs comes out
+// of Wait, and the pending is not touched again.
+func waitOnce() int {
+	p := getPending()
+	p.outcome++
+	return p.Wait()
 }

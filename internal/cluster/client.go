@@ -264,7 +264,10 @@ func (c *Client) ExecBatch(reqs []store.Request) ([]store.Response, error) {
 		}
 		parts = append(parts, part{idxs: idxs, fut: t.conns[n].BatchAsync(subRequests(reqs, idxs))})
 	}
-	members := t.ring.Members()
+	var members []int
+	if len(scans) > 0 {
+		members = t.ring.Members()
+	}
 	type scanPart struct {
 		idx  int
 		futs []*store.Future
@@ -401,33 +404,50 @@ var (
 // a cluster conn with pipeline depth d therefore keeps up to d routed
 // groups in flight — the same overlap the single-node async client
 // gives, across nodes.
+//
+// A routed group's pending is recycled at Wait, which the
+// workload.Pending contract calls exactly once: its request scratch and
+// its per-node recyclable futures (store.AsyncClient.BatchReuse) serve
+// the next group, so steady-state Issue/Wait allocates nothing.
 func (c *Client) Issue(ops []workload.Op) workload.Pending {
 	t := c.topo.Load()
 	if len(ops) == 1 && ops[0].Kind != workload.KindScan {
 		return &routedScalarPending{op: ops[0], fut: submitRouted(t, ops[0])}
 	}
-	reqs := store.ToRequests(ops)
+	p := getPending()
+	p.t = t
+	p.reqs = store.AppendRequests(p.reqs[:0], ops)
 	rs := getGroups(len(t.conns))
-	// Safe to release at return: subRequests copies each group's requests
-	// out, and routedPending retains no index slice.
+	// Safe to release at return: the parts index p.sub, which the
+	// requests are copied into, and hold no index slice.
 	defer rs.release()
-	scans := t.routeGroups(reqs, nil, rs.groups)
-	p := &routedPending{t: t}
+	scans := t.routeGroups(p.reqs, nil, rs.groups)
+	p.sub, p.parts = p.sub[:0], p.parts[:0]
+	for len(p.futs) < len(t.conns) {
+		p.futs = append(p.futs, nil)
+	}
 	for n, idxs := range rs.groups {
 		if len(idxs) == 0 {
 			continue
 		}
-		sub := subRequests(reqs, idxs)
-		p.parts = append(p.parts, routedPart{node: n, reqs: sub, fut: t.conns[n].BatchAsync(sub)})
-	}
-	members := t.ring.Members()
-	for _, i := range scans {
-		sp := routedScan{limit: int(reqs[i].Limit), futs: make([]*store.Future, len(members))}
-		for j, n := range members {
-			sp.futs[j] = t.conns[n].ScanAsync(reqs[i].Key, sp.limit)
+		lo := len(p.sub)
+		for _, i := range idxs {
+			p.sub = append(p.sub, p.reqs[i])
 		}
-		p.scans = append(p.scans, sp)
+		p.futs[n] = t.conns[n].BatchReuse(p.futs[n], p.sub[lo:])
+		p.parts = append(p.parts, routedPart{node: n, lo: lo, hi: len(p.sub)})
 	}
+	if len(scans) > 0 {
+		members := t.ring.Members()
+		for _, i := range scans {
+			sp := routedScan{limit: int(p.reqs[i].Limit), futs: make([]*store.Future, len(members))}
+			for j, n := range members {
+				sp.futs[j] = t.conns[n].ScanAsync(p.reqs[i].Key, sp.limit)
+			}
+			p.scans = append(p.scans, sp)
+		}
+	}
+	//ssync:ignore poolaudit the caller owns the pending until its Wait, the single release point
 	return p
 }
 
@@ -472,11 +492,10 @@ func (p *routedScalarPending) Wait() (workload.Outcome, error) {
 	return out, nil
 }
 
-// routedPart is one node's share of an issued op group.
+// routedPart is one node's share of an issued op group: the requests
+// sub[lo:hi] of its pending.
 type routedPart struct {
-	node int
-	reqs []store.Request
-	fut  *store.Future
+	node, lo, hi int
 }
 
 // routedScan is one scan op's all-member fan-out.
@@ -491,22 +510,55 @@ type routedScan struct {
 // went to even if a resize lands mid-flight.
 type routedPending struct {
 	t     *topology
+	reqs  []store.Request // the group as wire requests
+	sub   []store.Request // reqs regrouped by owner; parts index it
 	parts []routedPart
+	futs  []*store.Future // recyclable futures by node id (BatchReuse)
 	scans []routedScan
 }
 
+// pendingPool recycles routed pendings, their request scratch and their
+// per-node futures.
+var pendingPool = sync.Pool{New: func() any { return new(routedPending) }}
+
+// getPending returns a recycled pending. Ownership rule: the pending,
+// with every future in futs, belongs to one issued group from
+// getPending until its Wait, which releases it after every future it
+// submitted has resolved; at that point neither async-client loop can
+// reach any of them, and no one else may touch the pending again.
+//
+//ssync:pooled
+func getPending() *routedPending { return pendingPool.Get().(*routedPending) }
+
+// release clears the pending's references to the caller's keys, values
+// and topology, and recycles it.
+//
+//ssync:pooled release
+func (p *routedPending) release() {
+	clear(p.reqs)
+	clear(p.sub)
+	clear(p.scans)
+	p.t, p.scans = nil, p.scans[:0]
+	pendingPool.Put(p)
+}
+
+// Wait resolves the group and recycles the pending (and with it every
+// per-node future) on return: the caller must not touch p again.
+//
+//ssync:pooled release
 func (p *routedPending) Wait() (workload.Outcome, error) {
+	defer p.release()
 	var total workload.Outcome
 	var firstErr error
 	for _, part := range p.parts {
-		resps, err := part.fut.WaitBatch()
+		resps, err := p.futs[part.node].WaitBatch()
 		if err != nil {
 			if firstErr == nil {
 				firstErr = err
 			}
 			continue
 		}
-		out, err := store.BatchOutcome(p.t.conns[part.node], part.reqs, resps)
+		out, err := store.BatchOutcome(p.t.conns[part.node], p.sub[part.lo:part.hi], resps)
 		total.Add(out)
 		if err != nil && firstErr == nil {
 			firstErr = err

@@ -22,7 +22,9 @@ func newTestCluster(t *testing.T, nodes int, opt store.Options) *Cluster {
 // from a sync.Pool and fans sub-batches through per-node async
 // connections whose frame buffers are themselves pooled. Values decoded
 // from routed responses (scalar, batch and scan) must stay intact while
-// later routed calls churn every one of those pools.
+// later routed calls churn every one of those pools — and then across a
+// burst of Issue traffic, whose recycled futures decode every response
+// into reused slices and value arenas.
 func TestRoutedClientNoBufferAliasing(t *testing.T) {
 	c := newTestCluster(t, 3, store.Options{Shards: 4, Lock: locks.TICKET})
 	cl := c.Dial(0)
@@ -40,7 +42,7 @@ func TestRoutedClientNoBufferAliasing(t *testing.T) {
 		}
 	}
 
-	var retained [][]byte
+	var retained, gotSmall [][]byte
 	for round := 0; round < 6; round++ {
 		// Routed batch: pooled route groups + per-node batch frames.
 		reqs := make([]store.Request, 0, len(bigKeys)+1)
@@ -60,9 +62,11 @@ func TestRoutedClientNoBufferAliasing(t *testing.T) {
 			retained = append(retained, resps[i].Value)
 		}
 		// Routed scalar get and MGet churn the pools between rounds.
-		if v, found, err := cl.Get(small); err != nil || !found || v[0] != byte(round+1) {
+		v, found, err := cl.Get(small)
+		if err != nil || !found || v[0] != byte(round+1) {
 			t.Fatalf("round %d: routed Get(%s) = %v, %v", round, small, found, err)
 		}
+		gotSmall = append(gotSmall, v)
 		if _, err := cl.MGet(bigKeys); err != nil {
 			t.Fatal(err)
 		}
@@ -78,9 +82,38 @@ func TestRoutedClientNoBufferAliasing(t *testing.T) {
 			}
 		}
 	}
+	// The Issue burst: gets and same-length overwrites of the big keys,
+	// so the recycled arenas hold exactly the bytes a retained value
+	// would show if it aliased one.
+	garbage := bytes.Repeat([]byte{0xEE}, len(big))
+	var window []workload.Pending
+	for i := 0; i < 400; i++ {
+		if len(window) == 8 {
+			if _, err := window[0].Wait(); err != nil {
+				t.Fatal(err)
+			}
+			window = append(window[:0], window[1:]...)
+		}
+		ops := []workload.Op{
+			{Kind: workload.KindGet, Key: bigKeys[i%len(bigKeys)]},
+			{Kind: workload.KindGet, Key: bigKeys[(i+1)%len(bigKeys)]},
+			{Kind: workload.KindPut, Key: fmt.Sprintf("alias-burst-%02d", i%8), Value: garbage},
+		}
+		window = append(window, cl.Issue(ops))
+	}
+	for _, p := range window {
+		if _, err := p.Wait(); err != nil {
+			t.Fatal(err)
+		}
+	}
 	for i, v := range retained {
 		if !bytes.Equal(v, big) {
 			t.Fatalf("retained routed value %d corrupted by pooled-buffer reuse", i)
+		}
+	}
+	for round, v := range gotSmall {
+		if !bytes.Equal(v, bytes.Repeat([]byte{byte(round + 1)}, 256)) {
+			t.Fatalf("retained routed Get value %d corrupted by pooled-buffer reuse", round)
 		}
 	}
 }

@@ -3,6 +3,7 @@ package cluster
 import (
 	"sync"
 
+	"ssync/internal/hashkit"
 	"ssync/internal/store"
 )
 
@@ -48,13 +49,14 @@ type migTracker struct {
 	dirty map[string]struct{}
 }
 
-func (t *migTracker) record(op byte, key string) {
-	if op != store.OpPut && op != store.OpDelete {
-		return
-	}
-	if !store.ArcsContain(t.arcs, store.KeyPos(key)) {
-		return
-	}
+// tracks reports whether a write op on a key with FNV-1a hash hash
+// lands in a moving arc. Callers test it before record, so a key is
+// copied into the dirty set only when it must be.
+func (t *migTracker) tracks(op byte, hash uint64) bool {
+	return (op == store.OpPut || op == store.OpDelete) && store.ArcsContain(t.arcs, hashkit.Mix64(hash))
+}
+
+func (t *migTracker) record(key string) {
 	t.mu.Lock()
 	t.dirty[key] = struct{}{}
 	t.mu.Unlock()
@@ -62,16 +64,17 @@ func (t *migTracker) record(op byte, key string) {
 
 // Route implements store.Router for one point op.
 func (f *nodeFilter) Route(h *store.Handle, req store.Request, hops int) store.Response {
+	hash := hashkit.FNV1a(req.Key)
 	f.mu.RLock()
 	// The ring must be loaded under the lock: the commit step flips it
 	// while holding mu exclusively, so an op that sees the old ring has
 	// executed (and been dirty-tracked) before the flip, and an op that
 	// sees the new one executes after the delta shipped.
-	owner := f.c.ring.Load().Owner(req.Key)
+	owner := f.c.ring.Load().OwnerHash(hash)
 	if owner == f.n.id {
 		resp := h.Exec(req)
-		if f.mig != nil {
-			f.mig.record(req.Op, req.Key)
+		if f.mig != nil && f.mig.tracks(req.Op, hash) {
+			f.mig.record(req.Key)
 		}
 		f.mu.RUnlock()
 		return resp
@@ -89,60 +92,92 @@ func (f *nodeFilter) Route(h *store.Handle, req store.Request, hops int) store.R
 	return f.forward(owner, req, hops+1)
 }
 
-// RouteBatch implements store.Router for a batch's sub-ops: the local
-// subset executes as one engine visit under the filter lock, the rest
-// forward individually (submitted together, awaited together) after it
-// is released.
-func (f *nodeFilter) RouteBatch(h *store.Handle, reqs []store.Request) []store.Response {
-	resps := make([]store.Response, len(reqs))
-	owners := make([]int, len(reqs))
-	var local, remote []int
+// RouteBatch implements store.Router for a batch's sub-ops. Each key is
+// hashed once, and that hash both finds the owner (Ring.OwnerHash) and,
+// passed on to Handle.ExecViews, picks the shard. When every point op is
+// owned here — the usual case outside a resize — the whole batch
+// executes as one engine visit per touched shard under the filter lock,
+// straight from the frame-aliasing views, allocating nothing. Otherwise
+// the local subset executes the same way and the rest forward
+// individually (submitted together, awaited together) after the lock is
+// released. Owning strings are made only where a key must outlive the
+// frame: a forwarded op, or a write recorded in a migration's dirty set.
+func (f *nodeFilter) RouteBatch(h *store.Handle, reqs []store.RequestView, hashes []uint64) []store.Response {
 	f.mu.RLock()
 	ring := f.c.ring.Load()
+	allLocal := true
 	for i, r := range reqs {
-		switch r.Op {
-		case store.OpGet, store.OpPut, store.OpDelete:
-			owners[i] = ring.Owner(r.Key)
-			if owners[i] == f.n.id {
-				local = append(local, i)
-			} else {
-				remote = append(remote, i)
+		if isPointOp(r.Op) {
+			hashes[i] = hashkit.FNV1aBytes(r.Key)
+			if ring.OwnerHash(hashes[i]) != f.n.id {
+				allLocal = false
 			}
-		case store.OpScan:
-			local = append(local, i) // scans always read the local store
-		default:
-			resps[i] = store.Response{Status: store.StatusError, Msg: store.ErrBadOp.Error()}
 		}
 	}
-	if len(local) > 0 {
-		sub := reqs
-		if len(local) != len(reqs) {
-			sub = subRequests(reqs, local)
+	if allLocal {
+		resps := h.ExecViews(reqs, hashes)
+		f.recordDirty(reqs, hashes)
+		f.mu.RUnlock()
+		return resps
+	}
+	// Slow path: scans (which always read the local store) and anything
+	// that is not a point op stay local; ExecViews answers a bad op.
+	owners := make([]int, len(reqs))
+	var local, remote []int
+	for i, r := range reqs {
+		if isPointOp(r.Op) {
+			if owners[i] = ring.OwnerHash(hashes[i]); owners[i] != f.n.id {
+				remote = append(remote, i)
+				continue
+			}
 		}
-		for j, resp := range h.ExecBatch(sub) {
+		local = append(local, i)
+	}
+	resps := make([]store.Response, len(reqs))
+	if len(local) > 0 {
+		sub := make([]store.RequestView, len(local))
+		subHashes := make([]uint64, len(local))
+		for j, i := range local {
+			sub[j], subHashes[j] = reqs[i], hashes[i]
+		}
+		for j, resp := range h.ExecViews(sub, subHashes) {
 			resps[local[j]] = resp
 		}
-		if f.mig != nil {
-			for _, i := range local {
-				f.mig.record(reqs[i].Op, reqs[i].Key)
-			}
-		}
+		f.recordDirty(sub, subHashes)
 	}
 	f.mu.RUnlock()
-	if len(remote) > 0 {
-		futs := make([]*store.Future, len(remote))
-		for j, i := range remote {
-			futs[j] = f.meshConn(owners[i]).ForwardAsync(reqs[i], 1)
+	futs := make([]*store.Future, len(remote))
+	for j, i := range remote {
+		futs[j] = f.meshConn(owners[i]).ForwardAsync(reqs[i].Owned(), 1)
+	}
+	for j, i := range remote {
+		resp, err := futs[j].Wait()
+		if err != nil {
+			resp = store.Response{Status: store.StatusError, Msg: err.Error()}
 		}
-		for j, i := range remote {
-			resp, err := futs[j].Wait()
-			if err != nil {
-				resp = store.Response{Status: store.StatusError, Msg: err.Error()}
-			}
-			resps[i] = resp
-		}
+		resps[i] = resp
 	}
 	return resps
+}
+
+// recordDirty adds the locally executed writes among reqs that land in
+// a moving arc to the migration's dirty set (nothing when no migration
+// runs here). f.mu must be held.
+func (f *nodeFilter) recordDirty(reqs []store.RequestView, hashes []uint64) {
+	if f.mig == nil {
+		return
+	}
+	for i, r := range reqs {
+		if f.mig.tracks(r.Op, hashes[i]) {
+			f.mig.record(string(r.Key))
+		}
+	}
+}
+
+// isPointOp reports whether op is a get, put or delete — the ops that
+// have one owner.
+func isPointOp(op byte) bool {
+	return op == store.OpGet || op == store.OpPut || op == store.OpDelete
 }
 
 // forward ships req to node to and blocks for the response.

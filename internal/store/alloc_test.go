@@ -1,11 +1,14 @@
 package store
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
 
+	"ssync/internal/hashkit"
 	"ssync/internal/race"
 	"ssync/internal/workload"
+	"ssync/internal/xrand"
 )
 
 // The allocation regression gate for the point-op hot path. The
@@ -194,6 +197,126 @@ func TestBatchAllocs(t *testing.T) {
 				}
 				if perOp > bound {
 					t.Errorf("MGet: %.2f allocs/key, want <= %.1f", perOp, bound)
+				}
+			})
+		}
+	}
+}
+
+// localRouter is the Router of a cluster node that owns every key: it
+// hashes each point op's key once into the caller's scratch and hands
+// the hashes on with the views — nodeFilter's fast path without the
+// ring.
+type localRouter struct{}
+
+func (localRouter) Route(h *Handle, req Request, _ int) Response { return h.Exec(req) }
+
+func (localRouter) RouteBatch(h *Handle, reqs []RequestView, hashes []uint64) []Response {
+	for i, r := range reqs {
+		hashes[i] = hashkit.FNV1aBytes(r.Key)
+	}
+	return h.ExecViews(reqs, hashes)
+}
+
+// serveStream is an in-memory connection: reads drain a prebuilt frame
+// stream, writes are discarded.
+type serveStream struct{ r *bytes.Reader }
+
+func (c serveStream) Read(p []byte) (int, error)  { return c.r.Read(p) }
+func (c serveStream) Write(p []byte) (int, error) { return len(p), nil }
+
+// TestServeBatchAllocs gates the server half of the routed batch path:
+// ServeConn over an in-memory stream of tagged 4-op OpBatch frames —
+// gets, and puts that overwrite a preloaded value — parsed into the
+// connection's scratch, routed, executed one engine visit per touched
+// shard and encoded. Each ServeConn call pays a fixed set-up (bufio
+// buffers, handle, scratch growth), so the per-frame figure is the
+// difference between a long and a short stream over the extra frames.
+// It is 0 on the mutate-in-place engines, bare and routed; the
+// optimistic engine's puts pay their copy-on-write rebuild, bounded as
+// in TestPointOpAllocs.
+func TestServeBatchAllocs(t *testing.T) {
+	if race.Enabled {
+		t.Skip("race instrumentation perturbs allocation counts")
+	}
+	const short, extra, groupOps = 16, 512, 4
+	val := make([]byte, 64)
+	for _, eng := range Engines {
+		for _, routed := range []bool{false, true} {
+			name := string(eng) + "/bare"
+			if routed {
+				name = string(eng) + "/routed"
+			}
+			t.Run(name, func(t *testing.T) {
+				s := New(Options{Engine: eng, Shards: 8})
+				defer s.Close()
+				keys := allocKeys(s.NewHandle(0), 256, len(val))
+				sv := NewServer(s, 1)
+				if routed {
+					sv.SetRouter(localRouter{})
+				}
+				// Every stream opens with one all-get frame per shard, whose
+				// four keys share that shard: the handle's per-shard groups
+				// and the value arena reach their high-water marks there, so
+				// the frames after it measure the steady state only.
+				var prefix [][]Request
+				for sh := 0; sh < s.Shards(); sh++ {
+					var reqs []Request
+					for _, k := range keys {
+						if s.shardOf(hashKey(k)) == sh && len(reqs) < groupOps {
+							reqs = append(reqs, Request{Op: OpGet, Key: k})
+						}
+					}
+					prefix = append(prefix, reqs)
+				}
+				rng := xrand.New(7)
+				stream := func(frames int) (in []byte, puts int) {
+					var out bytes.Buffer
+					for f := 0; f < len(prefix)+frames; f++ {
+						reqs := make([]Request, groupOps)
+						if f < len(prefix) {
+							reqs = prefix[f]
+						} else {
+							for j := range reqs {
+								k := keys[rng.Intn(len(keys))]
+								reqs[j] = Request{Op: OpGet, Key: k}
+								if rng.Intn(100) < 5 {
+									reqs[j] = Request{Op: OpPut, Key: k, Value: val}
+									puts++
+								}
+							}
+						}
+						body, err := AppendBatchRequest(AppendTaggedRequest(nil, uint32(f+1)), Batch{Op: OpBatch, Reqs: reqs})
+						if err != nil {
+							t.Fatal(err)
+						}
+						if err := WriteFrame(&out, body); err != nil {
+							t.Fatal(err)
+						}
+					}
+					return out.Bytes(), puts
+				}
+				serve := func(in []byte) float64 {
+					r := bytes.NewReader(in)
+					return testing.AllocsPerRun(20, func() {
+						r.Reset(in)
+						if err := sv.ServeConn(serveStream{r}); err != nil {
+							t.Fatal(err)
+						}
+					})
+				}
+				shortIn, shortPuts := stream(short)
+				longIn, longPuts := stream(short + extra)
+				perFrame := (serve(longIn) - serve(shortIn)) / extra
+				// AllocsPerRun truncates to whole allocations per run, so a
+				// steady state of 0 may read as up to 1/extra.
+				bound := 1.0 / extra
+				if eng == EngineOptimistic {
+					bound += float64(optPutAllocBound*(longPuts-shortPuts)) / extra
+				}
+				t.Logf("ServeConn batch frames: %.4f allocs/frame", perFrame)
+				if perFrame > bound {
+					t.Errorf("ServeConn batch frames: %.4f allocs/frame, want <= %.4f", perFrame, bound)
 				}
 			})
 		}

@@ -127,17 +127,29 @@ func (c *AsyncClient) drainPending() {
 // Future is one in-flight operation. Wait blocks until the response
 // frame arrives (or the client dies) — the thin blocking wrappers are
 // just submit-then-Wait.
+//
+// A future from BatchReuse is recyclable: the caller submits it again
+// once its WaitBatch has returned, and it decodes every generation's
+// sub-responses into the same response slice and value arena. Its
+// resolver signals it by a token on ready rather than by closing ready,
+// so WaitBatch consumes the resolution: it is called exactly once per
+// submission. Every other future keeps the owning contract — values are
+// independent copies and Wait may be repeated.
 type Future struct {
 	op    byte   // scalar opcode, or the batch top-level opcode
-	subs  []byte // sub-opcodes when the request is a batch, else nil
+	subs  []byte // sub-opcodes when the request is a batch
 	tag   uint32
 	body  []byte  // encoded tagged frame body
 	bufp  *[]byte // pooled backing buffer for body
 	ready chan struct{}
-	once  sync.Once
+	// resolved admits the first resolution; resolving is the resolver's
+	// last touch of the future (see signal).
+	resolved atomic.Bool
+	reuse    bool // recyclable (BatchReuse)
 
 	resp  Response   // scalar result
 	batch []Response // batch result
+	arena []byte     // recyclable futures' get values
 	err   error
 }
 
@@ -149,28 +161,43 @@ var framePool = sync.Pool{New: func() any { return new([]byte) }}
 
 // releaseBody returns f's frame buffer to the pool. Ownership is
 // unambiguous: the goroutine that failed to hand f over releases it, or
-// the writer does after the write attempt.
+// the writer does after detaching it (see writeOne).
 func (f *Future) releaseBody() {
-	if f.bufp == nil {
-		return
-	}
-	*f.bufp = f.body[:0]
-	framePool.Put(f.bufp)
+	releaseFrame(f.bufp, f.body)
 	f.bufp, f.body = nil, nil
 }
 
+// releaseFrame returns a request frame buffer to framePool.
+func releaseFrame(bufp *[]byte, body []byte) {
+	if bufp == nil {
+		return
+	}
+	*bufp = body[:0]
+	framePool.Put(bufp)
+}
+
 func (f *Future) fail(err error) {
-	f.once.Do(func() {
+	if f.resolved.CompareAndSwap(false, true) {
 		f.err = err
-		close(f.ready)
-	})
+		f.signal()
+	}
 }
 
 func (f *Future) complete(resp Response, batch []Response) {
-	f.once.Do(func() {
+	if f.resolved.CompareAndSwap(false, true) {
 		f.resp, f.batch = resp, batch
+		f.signal()
+	}
+}
+
+// signal wakes the waiter. It must be the resolver's last touch of f: a
+// recyclable future may be resubmitted the moment its waiter wakes.
+func (f *Future) signal() {
+	if f.reuse {
+		f.ready <- struct{}{}
+	} else {
 		close(f.ready)
-	})
+	}
 }
 
 // Wait blocks until the scalar response arrives. Like the lock-step
@@ -201,15 +228,22 @@ func (f *Future) WaitBatch() ([]Response, error) {
 // submitters don't serialize on the writer for it.
 func (c *AsyncClient) submit(op byte, subs []byte, enc func(dst []byte) ([]byte, error)) *Future {
 	f := &Future{op: op, subs: subs, ready: make(chan struct{})}
+	c.send(f, enc)
+	return f
+}
+
+// send tags f, encodes its frame with enc and hands it to the writer,
+// or resolves f with the failure.
+func (c *AsyncClient) send(f *Future, enc func(dst []byte) ([]byte, error)) {
 	f.tag = c.tags.Add(1)
 	bufp := framePool.Get().(*[]byte)
 	body, err := enc(AppendTaggedRequest((*bufp)[:0], f.tag))
-	//ssync:ignore poolaudit the Future owns the frame; releaseBody is the single release point on every path
+	//ssync:ignore poolaudit the Future carries the frame to one release: writeOne detaches and releases it, a failed hand-off calls releaseBody
 	f.body, f.bufp = body, bufp
 	if err != nil {
 		f.releaseBody()
 		f.fail(err)
-		return f
+		return
 	}
 	if len(body) > MaxFrame {
 		// Catch the oversized frame here, where it fails only this
@@ -217,7 +251,7 @@ func (c *AsyncClient) submit(op byte, subs []byte, enc func(dst []byte) ([]byte,
 		// take every unrelated in-flight future down with it.
 		f.releaseBody()
 		f.fail(ErrFrameTooLarge)
-		return f
+		return
 	}
 	select {
 	case c.reqCh <- f:
@@ -225,7 +259,6 @@ func (c *AsyncClient) submit(op byte, subs []byte, enc func(dst []byte) ([]byte,
 		f.releaseBody()
 		f.fail(c.closedErr())
 	}
-	return f
 }
 
 func (c *AsyncClient) closedErr() error {
@@ -298,6 +331,34 @@ func (c *AsyncClient) submitBatch(b Batch) *Future {
 	return c.submit(b.Op, b.SubOps(), func(dst []byte) ([]byte, error) {
 		return AppendBatchRequest(dst, b)
 	})
+}
+
+// BatchReuse is BatchAsync for a caller that recycles its futures: f is
+// nil (a new recyclable future is made) or a future an earlier
+// BatchReuse returned whose WaitBatch has returned. The sub-opcodes,
+// the sub-responses and their get values all live in f's own scratch,
+// so a steady stream of recycled submissions allocates nothing. The
+// price is the recyclable contract: WaitBatch is called exactly once per
+// submission, and the responses it returns, values included, are valid
+// only until f is submitted again. reqs is encoded before BatchReuse
+// returns and not retained.
+//
+//ssync:pooled
+func (c *AsyncClient) BatchReuse(f *Future, reqs []Request) *Future {
+	if f == nil {
+		f = &Future{ready: make(chan struct{}, 1), reuse: true}
+	} else if !f.reuse {
+		panic("store: BatchReuse of a future BatchReuse did not make")
+	}
+	f.resolved.Store(false)
+	f.op, f.resp, f.err = OpBatch, Response{}, nil
+	f.subs = f.subs[:0]
+	for _, r := range reqs {
+		f.subs = append(f.subs, r.Op)
+	}
+	b := Batch{Op: OpBatch, Reqs: reqs}
+	c.send(f, func(dst []byte) ([]byte, error) { return AppendBatchRequest(dst, b) })
+	return f
 }
 
 // Blocking Conn surface: the lock-step client API preserved as thin
@@ -434,6 +495,13 @@ func (c *AsyncClient) writeLoop() {
 // acquired before the write, and the reader pops slots FIFO, so pend
 // order always equals write order.
 func (c *AsyncClient) writeOne(f *Future) bool {
+	// Detach the frame before f enters the window. From the push on, the
+	// reader may resolve f at any moment — a bufio auto-flush inside
+	// WriteFrame is enough to get its response back — and a recyclable
+	// future is resubmitted as soon as its waiter wakes, so the writer
+	// must not touch f after the push.
+	body, bufp := f.body, f.bufp
+	f.body, f.bufp = nil, nil
 	select {
 	case c.pend <- f:
 	default:
@@ -441,20 +509,20 @@ func (c *AsyncClient) writeOne(f *Future) bool {
 		// blocking, or responses could never arrive to free a slot.
 		if err := c.bw.Flush(); err != nil {
 			c.fatal(err)
-			f.releaseBody()
+			releaseFrame(bufp, body)
 			f.fail(c.Err()) // first recorded error wins (Close vs transport)
 			return false
 		}
 		select {
 		case c.pend <- f:
 		case <-c.done:
-			f.releaseBody()
+			releaseFrame(bufp, body)
 			f.fail(c.closedErr())
 			return false
 		}
 	}
-	err := WriteFrame(c.bw, f.body)
-	f.releaseBody() // the body is copied (or dead) after the write attempt
+	err := WriteFrame(c.bw, body)
+	releaseFrame(bufp, body) // the body is copied (or dead) after the write attempt
 	if err != nil {
 		c.fatal(err)
 		return false // f is in pend; drainPending resolves it
@@ -500,8 +568,18 @@ func (c *AsyncClient) readLoop() {
 			f.fail(c.Err())
 			return
 		}
-		if f.subs != nil {
-			resps, err := ParseBatchResponse(f.subs, body[4:])
+		if isBatchOp(f.op) {
+			var resps []Response
+			var err error
+			if f.reuse {
+				// Safe to overwrite: the previous generation's waiter is
+				// done with them before f could be resubmitted.
+				f.arena = f.arena[:0]
+				resps, err = parseBatchResponse(f.batch, &f.arena, f.subs, body[4:])
+				f.batch = resps
+			} else {
+				resps, err = ParseBatchResponse(f.subs, body[4:])
+			}
 			if err != nil {
 				// A reject of a tagged batch carries a scalar error body,
 				// not a batch body: recover the server's message rather

@@ -43,7 +43,9 @@ var _ workload.PipeConn = Driver{}
 // Issuer is a Conn that routes and pipelines op groups itself — the
 // cluster routing client (internal/cluster), which must split a group
 // across nodes before any batch frame exists. Driver defers to it
-// wholesale.
+// wholesale. The workload.Pending contract holds: the caller calls Wait
+// exactly once per issued group, which lets an Issuer recycle the
+// pending and its futures at Wait.
 type Issuer interface {
 	Issue(ops []workload.Op) workload.Pending
 }
@@ -136,24 +138,31 @@ func execScalar(c Conn, op workload.Op) (workload.Outcome, error) {
 
 // ToRequests maps an op group onto wire requests.
 func ToRequests(ops []workload.Op) []Request {
-	reqs := make([]Request, len(ops))
-	for i, op := range ops {
+	return AppendRequests(make([]Request, 0, len(ops)), ops)
+}
+
+// AppendRequests appends the wire requests of an op group to dst — the
+// ToRequests mapping into caller-owned scratch.
+func AppendRequests(dst []Request, ops []workload.Op) []Request {
+	for _, op := range ops {
+		var r Request
 		switch op.Kind {
 		case workload.KindGet:
-			reqs[i] = Request{Op: OpGet, Key: op.Key}
+			r = Request{Op: OpGet, Key: op.Key}
 		case workload.KindPut:
-			reqs[i] = Request{Op: OpPut, Key: op.Key, Value: op.Value}
+			r = Request{Op: OpPut, Key: op.Key, Value: op.Value}
 		case workload.KindDelete:
-			reqs[i] = Request{Op: OpDelete, Key: op.Key}
+			r = Request{Op: OpDelete, Key: op.Key}
 		default:
 			limit := op.Limit
 			if limit < 0 {
 				limit = 0
 			}
-			reqs[i] = Request{Op: OpScan, Key: op.Key, Limit: uint32(limit)}
+			r = Request{Op: OpScan, Key: op.Key, Limit: uint32(limit)}
 		}
+		dst = append(dst, r)
 	}
-	return reqs
+	return dst
 }
 
 // BatchOutcome tallies a batch's sub-responses, surfacing any sub-error.

@@ -68,9 +68,10 @@ type shardAccess interface {
 	get(shard int, hash uint64, key lookupKey, dst []byte) ([]byte, bool)
 	put(shard int, hash uint64, key lookupKey, value []byte) bool
 	del(shard int, hash uint64, key lookupKey) bool
-	// execGroup executes the point ops reqs[i] for i in idxs — all
-	// mapping to shard — in one engine visit, writing resps[i].
-	execGroup(shard int, reqs []Request, hashes []uint64, idxs []int, resps []Response)
+	// execGroup executes the point ops b.ops[i] for i in idxs — all
+	// mapping to shard — in one engine visit, writing b.resps[i] and
+	// appending get values to b.arena.
+	execGroup(shard int, b *batchExec, idxs []int)
 	// scanShard appends copies of the shard's entries matching prefix.
 	scanShard(shard int, prefix string, out []Entry) []Entry
 	// exportShard walks the shard's buckets from index from, appending

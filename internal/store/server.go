@@ -41,8 +41,13 @@ type Router interface {
 	// Route executes one point op that has taken hops forwarding hops so
 	// far (0 for a freshly arrived op).
 	Route(h *Handle, req Request, hops int) Response
-	// RouteBatch executes a batch's sub-ops, routing each.
-	RouteBatch(h *Handle, reqs []Request) []Response
+	// RouteBatch executes a batch's sub-ops, routing each. reqs alias the
+	// request frame, and hashes is the caller's scratch, len(reqs) long,
+	// for the router to fill with each point op's key hash
+	// (hashkit.FNV1aBytes) and hand on to Handle.ExecViews. The
+	// responses may alias the frame, the scratch and h's batch arena;
+	// the caller encodes them before its next use of any of the three.
+	RouteBatch(h *Handle, reqs []RequestView, hashes []uint64) []Response
 }
 
 // SetRouter installs r on the server. It must be called before any
@@ -107,6 +112,10 @@ func (sv *Server) ServeConn(conn io.ReadWriter) error {
 	inp := connScratch.Get().(*[]byte)
 	outp := connScratch.Get().(*[]byte)
 	in, out := *inp, *outp
+	// Batch parse scratch: the views alias in, so they die with each
+	// frame; both slices grow lazily to the connection's largest batch.
+	var batch batchView
+	var hashes []uint64
 	defer func() {
 		*inp = in[:0]
 		connScratch.Put(inp)
@@ -135,16 +144,20 @@ func (sv *Server) ServeConn(conn io.ReadWriter) error {
 			out = binary.BigEndian.AppendUint32(out, tag)
 		}
 
-		if len(inner) > 0 && (inner[0] == OpBatch || inner[0] == OpMGet || inner[0] == OpMPut) {
-			b, err := ParseBatchRequest(inner)
-			if err != nil {
+		if len(inner) > 0 && isBatchOp(inner[0]) {
+			if err := parseBatchView(inner, &batch); err != nil {
 				return sv.reject(bw, out, err) // out keeps the echoed tag
 			}
-			resps := h.ExecBatch
+			var resps []Response
 			if sv.router != nil {
-				resps = func(reqs []Request) []Response { return sv.router.RouteBatch(h, reqs) }
+				if cap(hashes) < len(batch.reqs) {
+					hashes = make([]uint64, len(batch.reqs))
+				}
+				resps = sv.router.RouteBatch(h, batch.reqs, hashes[:len(batch.reqs)])
+			} else {
+				resps = h.ExecViews(batch.reqs, nil)
 			}
-			out = appendBatchBounded(out, b.Reqs, resps(b.Reqs))
+			out = appendBatchBounded(out, batch.reqs, resps)
 		} else if len(inner) > 0 && inner[0] >= OpMigExport && inner[0] <= OpForward {
 			mreq, err := ParseMigrateRequest(inner)
 			if err != nil {
@@ -163,10 +176,7 @@ func (sv *Server) ServeConn(conn io.ReadWriter) error {
 				// Routing may carry the op beyond this frame's lifetime
 				// (forwarding to another node), so it gets an owning
 				// Request — the same copies ParseRequest would have made.
-				req := Request{Op: view.Op, Key: string(view.Key)}
-				if view.Op == OpPut {
-					req.Value = append([]byte(nil), view.Value...)
-				}
+				req := view.Owned()
 				resp := sv.router.Route(h, req, 0)
 				out, err = AppendResponse(out, req.Op, resp)
 			} else {
@@ -206,7 +216,7 @@ func (sv *Server) reject(bw *bufio.Writer, out []byte, err error) error {
 // and a sub-response that would overflow the remaining budget is replaced
 // by a (small) StatusError — so one over-full multi-get degrades its tail
 // instead of killing the connection.
-func appendBatchBounded(dst []byte, reqs []Request, resps []Response) []byte {
+func appendBatchBounded(dst []byte, reqs []RequestView, resps []Response) []byte {
 	dst = binary.BigEndian.AppendUint16(dst, uint16(len(resps)))
 	n := len(resps)
 	for i := range resps {

@@ -386,11 +386,48 @@ type Entry struct {
 type Handle struct {
 	s   *Store
 	acc shardAccess
-	// ExecBatch grouping scratch, reused across batches: a handle serves
-	// one connection, and batch bookkeeping should not out-allocate the
-	// work being measured.
+	// Batch scratch, reused across batches: a handle serves one
+	// connection, and batch bookkeeping should not out-allocate the work
+	// being measured. groups buckets sub-op indices by shard.
 	groups [][]int
+	batch  batchExec
+}
+
+// subOp is one batch sub-request in the engines' form. Its key is a
+// lookupKey, so owning Requests (string keys) and frame-aliasing views
+// ([]byte keys) run the one execution path.
+type subOp struct {
+	op    byte
+	key   lookupKey
+	value []byte
+	limit uint32
+}
+
+// batchExec is one batch's execution state, owned by its handle and
+// reused by the next batch: the sub-ops, one key hash per point op, the
+// responses, and the arena every get value is appended into. A
+// response's Value is a capped view of the arena (of an earlier backing
+// array if the arena grew mid-batch), so nothing here outlives the
+// handle's next batch. The actor engine's owner goroutines write resps
+// and arena through the mailbox while the sender blocks for the reply —
+// the same fence that lets frame-aliasing keys cross it.
+type batchExec struct {
+	ops    []subOp
 	hashes []uint64
+	resps  []Response
+	arena  []byte
+}
+
+// reset sizes the scratch for an n-op batch and empties the arena.
+func (b *batchExec) reset(n int) {
+	if cap(b.ops) < n {
+		b.ops = make([]subOp, n)
+		b.hashes = make([]uint64, n)
+		b.resps = make([]Response, n)
+	}
+	b.ops, b.hashes, b.resps = b.ops[:n], b.hashes[:n], b.resps[:n]
+	clear(b.resps)
+	b.arena = b.arena[:0]
 }
 
 // NewHandle creates an accessor; node is the NUMA hint for hierarchical
@@ -469,8 +506,45 @@ func (h *Handle) Delete(key string) bool {
 // outside the grouped execution. resps[i] is the response to reqs[i]; a
 // batch is a performance unit, not a transaction — sub-ops linearize
 // individually, and ops for one shard apply in batch order.
+//
+// ExecBatch is the owning form of ExecViews: the responses are fresh,
+// and every get value is an independent copy.
 func (h *Handle) ExecBatch(reqs []Request) []Response {
+	b := &h.batch
+	b.reset(len(reqs))
+	for i, r := range reqs {
+		b.ops[i] = subOp{op: r.Op, key: keyOf(r.Key), value: r.Value, limit: r.Limit}
+	}
 	resps := make([]Response, len(reqs))
+	for i, r := range h.execBatch(nil) {
+		r.Value = append([]byte(nil), r.Value...)
+		resps[i] = r
+	}
+	clear(b.ops) // drop the caller's keys and values
+	return resps
+}
+
+// ExecViews is ExecBatch over frame-aliasing views, and allocates
+// nothing in steady state: the responses live in the handle's batch
+// scratch and get values in its arena. hashes, when non-nil, holds the
+// FNV-1a hash (hashkit.FNV1aBytes) of every point sub-op's key — a
+// router that already hashed each key to find its owner passes them, so
+// no key is hashed twice; nil hashes them here. The returned responses
+// alias h and the views' frame: they are valid until the next batch on
+// h, and the caller must encode or copy them before that.
+func (h *Handle) ExecViews(reqs []RequestView, hashes []uint64) []Response {
+	b := &h.batch
+	b.reset(len(reqs))
+	for i, r := range reqs {
+		b.ops[i] = subOp{op: r.Op, key: keyBytes(r.Key), value: r.Value, limit: r.Limit}
+	}
+	return h.execBatch(hashes)
+}
+
+// execBatch runs the batch staged in h.batch (see ExecBatch) and returns
+// its responses, which alias the batch scratch.
+func (h *Handle) execBatch(hashes []uint64) []Response {
+	b := &h.batch
 	if h.groups == nil {
 		h.groups = make([][]int, h.s.opt.Shards)
 	}
@@ -478,21 +552,21 @@ func (h *Handle) ExecBatch(reqs []Request) []Response {
 	for i := range groups {
 		groups[i] = groups[i][:0]
 	}
-	if cap(h.hashes) < len(reqs) {
-		h.hashes = make([]uint64, len(reqs))
-	}
-	hashes := h.hashes[:len(reqs)]
 	scans := false
-	for i, r := range reqs {
-		switch r.Op {
+	for i := range b.ops {
+		switch op := &b.ops[i]; op.op {
 		case OpGet, OpPut, OpDelete:
-			hashes[i] = hashKey(r.Key)
-			sh := h.s.shardOf(hashes[i])
+			if hashes != nil {
+				b.hashes[i] = hashes[i]
+			} else {
+				b.hashes[i] = op.key.hash()
+			}
+			sh := h.s.shardOf(b.hashes[i])
 			groups[sh] = append(groups[sh], i)
 		case OpScan:
 			scans = true
 		default:
-			resps[i] = Response{Status: StatusError, Msg: ErrBadOp.Error()}
+			b.resps[i] = Response{Status: StatusError, Msg: ErrBadOp.Error()}
 		}
 	}
 	// Touched shards execute in the store's visit order — domain-major
@@ -505,59 +579,43 @@ func (h *Handle) ExecBatch(reqs []Request) []Response {
 		if len(idxs) == 0 {
 			continue
 		}
-		h.acc.execGroup(sh, reqs, hashes, idxs, resps)
+		h.acc.execGroup(sh, b, idxs)
 	}
 	if scans {
-		for i, r := range reqs {
-			if r.Op == OpScan {
-				resps[i] = Response{Status: StatusOK, Entries: h.Scan(r.Key, scanLimit(r.Limit))}
+		for i, op := range b.ops {
+			if op.op == OpScan {
+				b.resps[i] = Response{Status: StatusOK, Entries: h.Scan(op.key.str(), scanLimit(op.limit))}
 			}
 		}
 	}
-	return resps
-}
-
-// tableOps adapts a shardTable to execPointOps' string-keyed accessors
-// (batch sub-requests are owning Requests, so their keys are already
-// strings; the zero-copy seam is the scalar path's concern).
-func tableOps(sh *shardTable) (
-	get func(hash uint64, key string) ([]byte, bool),
-	put func(hash uint64, key string, value []byte) bool,
-	del func(hash uint64, key string) bool) {
-	get = func(hash uint64, key string) ([]byte, bool) {
-		v, ok := sh.get(hash, keyOf(key), nil)
-		if !ok {
-			return nil, false
-		}
-		return v, true
-	}
-	put = func(hash uint64, key string, value []byte) bool { return sh.put(hash, keyOf(key), value) }
-	del = func(hash uint64, key string) bool { return sh.del(hash, keyOf(key)) }
-	return get, put, del
+	return b.resps
 }
 
 // execPointOps runs a point-op group through the given accessors and
 // fills in the responses — the response-shaping shared by every engine.
-func execPointOps(reqs []Request, hashes []uint64, idxs []int, resps []Response,
-	get func(hash uint64, key string) ([]byte, bool),
-	put func(hash uint64, key string, value []byte) bool,
-	del func(hash uint64, key string) bool) {
+// get appends a hit's value to the batch arena.
+func execPointOps(b *batchExec, idxs []int,
+	get func(hash uint64, key lookupKey, dst []byte) ([]byte, bool),
+	put func(hash uint64, key lookupKey, value []byte) bool,
+	del func(hash uint64, key lookupKey) bool) {
 	for _, i := range idxs {
-		r := reqs[i]
-		switch r.Op {
+		op, hash := &b.ops[i], b.hashes[i]
+		switch op.op {
 		case OpGet:
-			if v, ok := get(hashes[i], r.Key); ok {
-				resps[i] = Response{Status: StatusOK, Value: v}
+			mark := len(b.arena)
+			if v, ok := get(hash, op.key, b.arena); ok {
+				b.arena = v
+				b.resps[i] = Response{Status: StatusOK, Value: v[mark:len(v):len(v)]}
 			} else {
-				resps[i] = Response{Status: StatusNotFound}
+				b.resps[i] = Response{Status: StatusNotFound}
 			}
 		case OpPut:
-			resps[i] = Response{Status: StatusOK, Created: put(hashes[i], r.Key, r.Value)}
+			b.resps[i] = Response{Status: StatusOK, Created: put(hash, op.key, op.value)}
 		case OpDelete:
-			if del(hashes[i], r.Key) {
-				resps[i] = Response{Status: StatusOK}
+			if del(hash, op.key) {
+				b.resps[i] = Response{Status: StatusOK}
 			} else {
-				resps[i] = Response{Status: StatusNotFound}
+				b.resps[i] = Response{Status: StatusNotFound}
 			}
 		}
 	}

@@ -240,8 +240,12 @@ func (p *parser) requestView() RequestView {
 }
 
 // request is requestView plus the copies that make the result owning.
-func (p *parser) request() Request {
-	v := p.requestView()
+func (p *parser) request() Request { return p.requestView().Owned() }
+
+// Owned copies a view out of its frame: the key becomes a string and a
+// put's value a fresh slice — the copies ParseRequest makes, for a
+// request that must outlive the frame.
+func (v RequestView) Owned() Request {
 	req := Request{Op: v.Op, Key: string(v.Key), Limit: v.Limit}
 	if v.Op == OpPut {
 		req.Value = append([]byte(nil), v.Value...)
@@ -300,7 +304,7 @@ func AppendResponse(dst []byte, op byte, resp Response) ([]byte, error) {
 // ParseResponse decodes one response body for a request with opcode op.
 func ParseResponse(op byte, body []byte) (Response, error) {
 	p := parser{buf: body}
-	resp := p.response(op)
+	resp := p.response(op, nil)
 	if err := p.finish(); err != nil {
 		return Response{}, err
 	}
@@ -309,7 +313,8 @@ func ParseResponse(op byte, body []byte) (Response, error) {
 
 // response decodes one scalar response at the cursor for a request with
 // opcode op (self-delimiting, shared with the batch response parser).
-func (p *parser) response(op byte) Response {
+// A get's value is copied out of the frame by p.value(arena).
+func (p *parser) response(op byte, arena *[]byte) Response {
 	var resp Response
 	resp.Status = p.u8()
 	switch {
@@ -319,7 +324,7 @@ func (p *parser) response(op byte) Response {
 	case resp.Status == StatusOK:
 		switch op {
 		case OpGet:
-			resp.Value = append([]byte(nil), p.bytes32(MaxValueLen)...)
+			resp.Value = p.value(arena)
 		case OpPut:
 			switch flag := p.u8(); flag {
 			case 0:
@@ -344,6 +349,21 @@ func (p *parser) response(op byte) Response {
 		}
 	}
 	return resp
+}
+
+// value reads a uint32-prefixed value and copies it out of the frame:
+// into a fresh slice when arena is nil, otherwise appended to *arena and
+// returned as a capacity-capped view of it (so appending to one value
+// can never overwrite the next). Arena values are only as durable as the
+// arena: its owner decides when they die.
+func (p *parser) value(arena *[]byte) []byte {
+	v := p.bytes32(MaxValueLen)
+	if arena == nil {
+		return append([]byte(nil), v...)
+	}
+	a := append(*arena, v...)
+	*arena = a
+	return a[len(a)-len(v) : len(a) : len(a)]
 }
 
 // scanEntries decodes a scan response's entry list. Instead of one

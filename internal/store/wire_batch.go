@@ -52,6 +52,9 @@ const (
 	OpTagged
 )
 
+// isBatchOp reports whether op frames a batch.
+func isBatchOp(op byte) bool { return op == OpBatch || op == OpMGet || op == OpMPut }
+
 // MaxBatchOps bounds the sub-operations of one batch frame.
 const MaxBatchOps = 4096
 
@@ -161,13 +164,24 @@ func appendKey(dst []byte, key string) ([]byte, error) {
 	return append(dst, key...), nil
 }
 
-// ParseBatchRequest decodes one batch request body (OpBatch, OpMGet or
-// OpMPut), rejecting nested batches, truncation and trailing garbage.
-func ParseBatchRequest(body []byte) (Batch, error) {
+// batchView is a decoded batch request in view form: every
+// sub-request's key and value alias the parsed body, so a batchView is
+// valid only until that buffer is reused. It is the server's
+// per-connection parse shape — Batch is the owning form.
+type batchView struct {
+	op   byte
+	reqs []RequestView
+}
+
+// parseBatchView decodes one batch request body (OpBatch, OpMGet or
+// OpMPut) into v, reusing v.reqs' backing array, so a connection parses
+// every batch into the same scratch. It rejects nested batches,
+// truncation and trailing garbage; on error v holds a partial parse.
+func parseBatchView(body []byte, v *batchView) error {
 	p := parser{buf: body}
-	var b Batch
-	b.Op = p.u8()
-	switch b.Op {
+	v.op = p.u8()
+	v.reqs = v.reqs[:0]
+	switch v.op {
 	case OpBatch, OpMGet, OpMPut:
 	default:
 		if p.err == nil {
@@ -179,10 +193,10 @@ func ParseBatchRequest(body []byte) (Batch, error) {
 		p.err = ErrBatchTooLarge
 	}
 	for i := 0; i < n && p.err == nil; i++ {
-		var r Request
-		switch b.Op {
+		var r RequestView
+		switch v.op {
 		case OpBatch:
-			r = p.request()
+			r = p.requestView()
 			switch r.Op {
 			case OpGet, OpPut, OpDelete, OpScan:
 			default:
@@ -191,15 +205,31 @@ func ParseBatchRequest(body []byte) (Batch, error) {
 				}
 			}
 		case OpMGet:
-			r = Request{Op: OpGet, Key: string(p.bytes16())}
+			r = RequestView{Op: OpGet, Key: p.bytes16()}
 		case OpMPut:
-			r = Request{Op: OpPut, Key: string(p.bytes16())}
-			r.Value = append([]byte(nil), p.bytes32(MaxValueLen)...)
+			r = RequestView{Op: OpPut, Key: p.bytes16()}
+			r.Value = p.bytes32(MaxValueLen)
 		}
-		b.Reqs = append(b.Reqs, r)
+		v.reqs = append(v.reqs, r)
 	}
-	if err := p.finish(); err != nil {
+	return p.finish()
+}
+
+// ParseBatchRequest decodes one batch request body (OpBatch, OpMGet or
+// OpMPut), rejecting nested batches, truncation and trailing garbage. It
+// is parseBatchView plus the copies that make the result owning.
+func ParseBatchRequest(body []byte) (Batch, error) {
+	var small [8]RequestView // one allocation holds the usual batch's views
+	v := batchView{reqs: small[:0]}
+	if err := parseBatchView(body, &v); err != nil {
 		return Batch{}, err
+	}
+	b := Batch{Op: v.op}
+	if len(v.reqs) > 0 {
+		b.Reqs = make([]Request, len(v.reqs))
+		for i, r := range v.reqs {
+			b.Reqs[i] = r.Owned()
+		}
 	}
 	return b, nil
 }
@@ -224,21 +254,39 @@ func AppendBatchResponse(dst []byte, ops []byte, resps []Response) ([]byte, erro
 }
 
 // ParseBatchResponse decodes a batch response body against the
-// sub-request opcodes the batch was sent with.
+// sub-request opcodes the batch was sent with. Every value is an
+// independent copy.
 func ParseBatchResponse(ops []byte, body []byte) ([]Response, error) {
+	resps, err := parseBatchResponse(nil, nil, ops, body)
+	if err != nil {
+		return nil, err
+	}
+	return resps, nil
+}
+
+// parseBatchResponse is the batch response parser: it appends the
+// sub-responses to dst[:0] and, with a non-nil arena, copies get values
+// into *arena instead of one fresh slice each — the recyclable future's
+// allocation-free decode, whose responses and values live until the
+// future's next submission. It returns dst[:0] (keeping its backing
+// array) on error.
+func parseBatchResponse(dst []Response, arena *[]byte, ops []byte, body []byte) ([]Response, error) {
 	p := parser{buf: body}
 	n := int(p.u16())
 	if p.err == nil && (n != len(ops) || n > MaxBatchOps) {
 		p.err = ErrBatchCount
 	}
-	var resps []Response
+	dst = dst[:0]
+	if dst == nil && p.err == nil && n > 0 {
+		dst = make([]Response, 0, n)
+	}
 	for i := 0; i < n && p.err == nil; i++ {
-		resps = append(resps, p.response(ops[i]))
+		dst = append(dst, p.response(ops[i], arena))
 	}
 	if err := p.finish(); err != nil {
-		return nil, err
+		return dst[:0], err
 	}
-	return resps, nil
+	return dst, nil
 }
 
 // AppendTaggedRequest starts a tagged request: the OpTagged marker and

@@ -133,7 +133,10 @@ func TestTagRoundTrip(t *testing.T) {
 
 // FuzzParseBatchRequest mirrors the scalar wire fuzzers (CI runs it):
 // arbitrary bytes must never panic, and anything that parses must
-// re-encode byte-identically and re-parse to the same batch.
+// re-encode byte-identically and re-parse to the same batch. Every
+// input also goes through the server's scratch parser, into a view
+// scratch left dirty by the previous input, which must agree with the
+// owning parse: the same requests, or the same error.
 func FuzzParseBatchRequest(f *testing.F) {
 	seed := [][]byte{
 		{OpBatch, 0, 2, OpGet, 0, 1, 'k', OpPut, 0, 1, 'p', 0, 0, 0, 1, 'v'},
@@ -147,10 +150,24 @@ func FuzzParseBatchRequest(f *testing.F) {
 	for _, s := range seed {
 		f.Add(s)
 	}
+	var scratch batchView
 	f.Fuzz(func(t *testing.T, body []byte) {
 		b, err := ParseBatchRequest(body)
+		verr := parseBatchView(body, &scratch)
+		if fmt.Sprint(verr) != fmt.Sprint(err) {
+			t.Fatalf("scratch parser error %v, owning parser error %v", verr, err)
+		}
 		if err != nil {
 			return
+		}
+		if scratch.op != b.Op || len(scratch.reqs) != len(b.Reqs) {
+			t.Fatalf("scratch parse op %d with %d requests, owning op %d with %d", scratch.op, len(scratch.reqs), b.Op, len(b.Reqs))
+		}
+		for i, v := range scratch.reqs {
+			r := b.Reqs[i]
+			if v.Op != r.Op || string(v.Key) != r.Key || !bytes.Equal(v.Value, r.Value) || v.Limit != r.Limit {
+				t.Fatalf("request %d: scratch %+v, owning %+v", i, v, r)
+			}
 		}
 		enc, err := AppendBatchRequest(nil, b)
 		if err != nil {
@@ -170,17 +187,38 @@ func FuzzParseBatchRequest(f *testing.F) {
 }
 
 // FuzzParseBatchResponse holds the batch response parser to the same
-// standard: the sub-opcode context comes from the fuzzer too.
+// standard: the sub-opcode context comes from the fuzzer too. Every
+// input also goes through the recyclable future's scratch parse — the
+// response slice and value arena left dirty by the previous input —
+// which must give the same responses, or the same error.
 func FuzzParseBatchResponse(f *testing.F) {
 	f.Add([]byte{OpGet, OpPut}, []byte{0, 2, StatusOK, 0, 0, 0, 1, 'v', StatusOK, 1})
 	f.Add([]byte{OpDelete}, []byte{0, 1, StatusNotFound})
 	f.Add([]byte{OpScan}, []byte{0, 1, StatusOK, 0, 0, 0, 0})
 	f.Add([]byte{}, []byte{0, 0})
 	f.Add([]byte{OpGet}, []byte{0, 1, StatusError, 0, 2, 'n', 'o'})
+	var scratch []Response
+	var arena []byte
 	f.Fuzz(func(t *testing.T, ops []byte, body []byte) {
 		resps, err := ParseBatchResponse(ops, body)
+		arena = arena[:0]
+		got, serr := parseBatchResponse(scratch, &arena, ops, body)
+		scratch = got
+		if fmt.Sprint(serr) != fmt.Sprint(err) {
+			t.Fatalf("scratch parser error %v, owning parser error %v", serr, err)
+		}
 		if err != nil {
 			return
+		}
+		if len(got) != len(resps) {
+			t.Fatalf("scratch parse gave %d responses, owning %d", len(got), len(resps))
+		}
+		for i, r := range resps {
+			g := got[i]
+			if g.Status != r.Status || g.Created != r.Created || g.Msg != r.Msg ||
+				!bytes.Equal(g.Value, r.Value) || !reflect.DeepEqual(g.Entries, r.Entries) {
+				t.Fatalf("response %d: scratch %+v, owning %+v", i, g, r)
+			}
 		}
 		enc, err := AppendBatchResponse(nil, ops, resps)
 		if err != nil {

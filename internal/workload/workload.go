@@ -63,7 +63,9 @@ func (o *Outcome) Add(p Outcome) {
 }
 
 // Pending is one in-flight op group; Wait blocks until its responses
-// arrive and reports the group's outcome.
+// arrive and reports the group's outcome. Wait is called exactly once:
+// a backend may recycle the pending, and the state behind it, the
+// moment Wait returns, so the caller must not touch it afterwards.
 type Pending interface {
 	Wait() (Outcome, error)
 }
