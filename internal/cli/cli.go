@@ -30,7 +30,6 @@ var tools = []tool{
 	{"list", "list the registered experiments", ListMain},
 	{"store", "sharded KVS: scenario workload over the wire protocol", StoreMain},
 	{"cluster", "multi-node store cluster: consistent-hash routed workload", ClusterMain},
-	{"bench", "pinned perf-trajectory sweep: emit or check BENCH_*.json references", BenchMain},
 	{"figures", "regenerate every table and figure of the paper", FiguresMain},
 	{"lockbench", "lock experiments: Figures 3-8", LockbenchMain},
 	{"ccbench", "cache-coherence latencies: Tables 2-3", CcbenchMain},

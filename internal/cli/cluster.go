@@ -141,6 +141,7 @@ func ClusterMain(argv []string, stdout, stderr io.Writer) int {
 			oneResult(experiment, *clients, "dip Kops/s", res.DipKops),
 			oneResult(experiment, *clients, "dip %", res.DipPct),
 			oneResult(experiment, *clients, "recovery ms", res.RecoveryMs),
+			oneResult(experiment, *clients, "ops after resize", float64(res.TailOps)),
 			oneResult(experiment, *clients, "add ms", res.AddMs),
 		}
 		if *nodes > 1 {

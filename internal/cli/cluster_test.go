@@ -95,13 +95,16 @@ func TestClusterResize(t *testing.T) {
 		}
 		metrics[r.Metric] = r.Stats.Mean
 	}
-	for _, want := range []string{"steady Kops/s", "dip Kops/s", "add ms", "remove ms"} {
+	// Traffic must survive the resize: the clients' op counter moves
+	// after the membership calls return.
+	for _, want := range []string{"steady Kops/s", "ops after resize", "add ms", "remove ms"} {
 		if metrics[want] <= 0 {
 			t.Fatalf("missing or zero metric %q in %v", want, metrics)
 		}
 	}
-	// dip % and recovery ms may legitimately be zero, but must be present.
-	for _, want := range []string{"dip %", "recovery ms"} {
+	// The sampled dip may legitimately be zero (the commit can pause
+	// traffic for a whole sampling interval), but must be present.
+	for _, want := range []string{"dip Kops/s", "dip %", "recovery ms"} {
 		if _, ok := metrics[want]; !ok {
 			t.Fatalf("missing metric %q in %v", want, metrics)
 		}

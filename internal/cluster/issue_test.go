@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"fmt"
 	"net"
 	"sync"
 	"testing"
@@ -54,19 +55,36 @@ func gets(ops []workload.Op) uint64 {
 }
 
 // TestRoutedIssueAllocs gates the routed, pipelined batch path end to
-// end, in the shape of the routed-batch benchmark: a 2-node locked
-// cluster, preloaded keys, 4-op 95:5 groups, 8 groups in flight through
-// Issue/Wait. It counts every allocation in the process — client
-// split, async windows, batch codec, the server's parse, nodeFilter and
-// per-shard execution, the response and its decode — and holds the
-// steady state to at most 2 allocs per op (it is 0 when the pools are
-// warm).
+// end, in the shape of the routed-batch benchmark: preloaded keys,
+// 4-op 95:5 groups, 8 groups in flight through Issue/Wait, on every
+// engine over a single node and a 4-node ring. It counts every
+// allocation in the process — client split, async windows, batch
+// codec, the server's parse, nodeFilter and per-shard execution, the
+// response and its decode — and holds the steady state to at most 2
+// allocs per op (it is 0 when the pools are warm).
 func TestRoutedIssueAllocs(t *testing.T) {
 	if race.Enabled {
 		t.Skip("race instrumentation perturbs allocation counts")
 	}
+	for _, eng := range store.Engines {
+		for _, nodes := range []int{1, 4} {
+			eng, nodes := eng, nodes
+			t.Run(fmt.Sprintf("%s/%dn", eng, nodes), func(t *testing.T) {
+				perOp := routedIssueAllocs(t, nodes, eng)
+				t.Logf("routed Issue/Wait: %.3f allocs/op", perOp)
+				if perOp > 2 {
+					t.Errorf("routed Issue/Wait: %.2f allocs/op, want <= 2", perOp)
+				}
+			})
+		}
+	}
+}
+
+// routedIssueAllocs measures steady-state allocs/op of Issue/Wait on a
+// nodes-node eng cluster, failing t if any group resolves wrongly.
+func routedIssueAllocs(t *testing.T, nodes int, eng store.Engine) float64 {
 	const inFlight, groupOps = 8, 4
-	c := newTestCluster(t, 2, store.Options{Shards: 8})
+	c := newTestCluster(t, nodes, store.Options{Shards: 8, Engine: eng})
 	cl := c.Dial(inFlight)
 	defer cl.Close()
 	groups := issueGroups(t, cl, 1024, 512, 64)
@@ -102,10 +120,7 @@ func TestRoutedIssueAllocs(t *testing.T) {
 	if bad != 0 {
 		t.Fatalf("%d groups resolved with a wrong outcome", bad)
 	}
-	t.Logf("routed Issue/Wait: %.3f allocs/op", perOp)
-	if perOp > 2 {
-		t.Errorf("routed Issue/Wait: %.2f allocs/op, want <= 2", perOp)
-	}
+	return perOp
 }
 
 // pipeClient dials a routing client by hand over pipes whose server

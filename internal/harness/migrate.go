@@ -103,6 +103,10 @@ type MigrateBenchResult struct {
 	AddMs, RemoveMs float64
 	// Moved is how many keys the grow step relocated onto the new node.
 	Moved int
+	// TailOps is how many ops the clients completed after the
+	// membership calls returned: nonzero whenever traffic survives the
+	// resize, however the sampler's intervals fall.
+	TailOps uint64
 }
 
 // MigrateBench runs one live-resize measurement.
@@ -250,10 +254,12 @@ func MigrateBench(cfg MigrateBenchConfig) (MigrateBenchResult, error) {
 	}
 
 	// Tail window, then tear down.
+	tailFrom := ops.Load()
 	time.Sleep(cfg.Tail)
 	if err := finish(); err != nil {
 		return res, err
 	}
+	res.TailOps = ops.Load() - tailFrom
 
 	// Dip and recovery from the sampled intervals after resize start.
 	res.DipKops = res.SteadyKops

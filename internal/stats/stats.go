@@ -69,8 +69,8 @@ func (o *Online) RelStddev() float64 {
 
 // Round returns x rounded to the given number of decimal places.
 // Emitted statistics are rounded to a stable precision so committed
-// reference files (BENCH_*.json) diff cleanly instead of churning in
-// the 15th significant digit on every regeneration.
+// result files diff cleanly instead of churning in the 15th
+// significant digit on every regeneration.
 func Round(x float64, places int) float64 {
 	p := math.Pow(10, float64(places))
 	r := math.Round(x*p) / p
@@ -93,22 +93,6 @@ func Median(xs []float64) float64 {
 		return s[mid]
 	}
 	return (s[mid-1] + s[mid]) / 2
-}
-
-// MAD returns the median absolute deviation from the median, the robust
-// spread estimate the benchmark regression gate derives its noise
-// tolerance from: unlike stddev it is not inflated by the occasional
-// scheduler-induced outlier repetition.
-func MAD(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	m := Median(xs)
-	devs := make([]float64, len(xs))
-	for i, x := range xs {
-		devs[i] = math.Abs(x - m)
-	}
-	return Median(devs)
 }
 
 // Summary is a frozen snapshot of an accumulator, the shape experiment
