@@ -1,4 +1,4 @@
-// Package analysis is the static-analysis framework behind ssynclint:
+// Package analysis is the static-analysis framework behind `ssync lint`:
 // a minimal, dependency-free reimplementation of the
 // golang.org/x/tools/go/analysis API surface, sized to what the repo's
 // invariant checkers need. The repo's hot paths are fast because of
@@ -29,7 +29,7 @@ type Analyzer struct {
 	// Name identifies the analyzer in diagnostics and in
 	// //ssync:ignore directives. Lower-case, no spaces.
 	Name string
-	// Doc is the one-paragraph description `ssynclint -list` prints:
+	// Doc is the one-paragraph description `ssync lint -list` prints:
 	// first line is the invariant, the rest is how it is checked.
 	Doc string
 	// Run executes the analyzer on one package.

@@ -69,18 +69,18 @@ func RunAnalyzers(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) 
 	return all, nil
 }
 
-// Main is the multichecker driver shared by cmd/ssynclint and `ssync
-// lint`: load the module packages matching the patterns (default ./...)
-// from the current directory, run the suite, print findings, and exit
-// non-zero if any survive. Exit codes follow the repo's CLI convention:
+// Main is the multichecker driver behind `ssync lint`: load the module
+// packages matching the patterns (default ./...) from the current
+// directory, run the suite, print findings, and exit non-zero if any
+// survive. Exit codes follow the repo's CLI convention:
 // 0 clean, 1 findings, 2 usage or load failure.
 func Main(analyzers []*Analyzer, argv []string, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("ssynclint", flag.ContinueOnError)
+	fs := flag.NewFlagSet("ssync lint", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	list := fs.Bool("list", false, "list the analyzers and exit")
 	dir := fs.String("dir", ".", "module directory to analyze from")
 	fs.Usage = func() {
-		fmt.Fprintln(stderr, "usage: ssynclint [-list] [-dir dir] [packages]")
+		fmt.Fprintln(stderr, "usage: ssync lint [-list] [-dir dir] [packages]")
 		fmt.Fprintln(stderr, "")
 		fmt.Fprintln(stderr, "Machine-checks the repo's concurrency and allocation invariants.")
 		fs.PrintDefaults()
@@ -99,12 +99,12 @@ func Main(analyzers []*Analyzer, argv []string, stdout, stderr io.Writer) int {
 	}
 	pkgs, err := Load(*dir, fs.Args()...)
 	if err != nil {
-		fmt.Fprintln(stderr, "ssynclint:", err)
+		fmt.Fprintln(stderr, "ssync lint:", err)
 		return 2
 	}
 	diags, err := RunAnalyzers(pkgs, analyzers)
 	if err != nil {
-		fmt.Fprintln(stderr, "ssynclint:", err)
+		fmt.Fprintln(stderr, "ssync lint:", err)
 		return 2
 	}
 	if len(diags) == 0 {
@@ -116,7 +116,7 @@ func Main(analyzers []*Analyzer, argv []string, stdout, stderr io.Writer) int {
 		p := d.Position(fset)
 		fmt.Fprintf(stdout, "%s:%d:%d: %s: %s\n", relPath(*dir, p.Filename), p.Line, p.Column, d.Analyzer, d.Message)
 	}
-	fmt.Fprintf(stderr, "ssynclint: %d finding(s)\n", len(diags))
+	fmt.Fprintf(stderr, "ssync lint: %d finding(s)\n", len(diags))
 	return 1
 }
 

@@ -1,7 +1,6 @@
 // Package suite registers the repo's analyzer set — the single list
-// shared by cmd/ssynclint, the `ssync lint` subcommand, and the
-// lint-clean meta-test, so a new analyzer added here gates everywhere
-// at once.
+// shared by the `ssync lint` subcommand and the lint-clean meta-test,
+// so a new analyzer added here gates everywhere at once.
 package suite
 
 import (

@@ -1,6 +1,6 @@
 // Package bench defines one regeneration harness per table and figure of
 // the paper's evaluation (§5–§6): the workload, the parameter sweep, the
-// baselines and the output rows. The cmd/ binaries and the root-level
+// baselines and the output rows. `ssync figures` and the root-level
 // testing.B benchmarks are thin wrappers over this package.
 package bench
 
@@ -15,7 +15,7 @@ import (
 )
 
 // Config scales the experiments: the deadline bounds the simulated cycles
-// per configuration. Defaults suit the cmd/ binaries; tests use smaller
+// per configuration. Defaults suit `ssync figures`; tests use smaller
 // values.
 type Config struct {
 	// Deadline is the simulated duration of each throughput measurement,
@@ -27,7 +27,7 @@ type Config struct {
 	Reps int
 }
 
-// DefaultConfig returns the configuration used by the cmd/ tools.
+// DefaultConfig returns the configuration `ssync figures` runs with.
 func DefaultConfig() Config {
 	return Config{Deadline: 400_000, LatencyOps: 200, Reps: 5}
 }

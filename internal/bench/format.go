@@ -10,8 +10,8 @@ import (
 	"ssync/internal/simlocks"
 )
 
-// This file renders experiment results as fixed-width text, the way the
-// cmd/ tools print them.
+// This file renders experiment results as fixed-width text, the way
+// `ssync figures` prints them.
 
 // FormatFigure renders a figure as a table: one row per X, one column per
 // series.

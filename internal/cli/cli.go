@@ -1,6 +1,6 @@
-// Package cli implements the ssync command-line tool and the legacy
-// single-purpose benchmark binaries as library functions, so the cmd/
-// directories are one-line wrappers and every invocation is unit-testable.
+// Package cli implements the ssync command-line tool as library
+// functions, so cmd/ssync is a one-line wrapper and every invocation is
+// unit-testable.
 package cli
 
 import (
@@ -13,6 +13,7 @@ import (
 	"strings"
 
 	"ssync/internal/arch"
+	"ssync/internal/harness"
 )
 
 // tool is one dispatchable subcommand.
@@ -22,21 +23,13 @@ type tool struct {
 	main func(argv []string, stdout, stderr io.Writer) int
 }
 
-// tools lists every subcommand of ssync. The seven retired benchmark
-// binaries and topology keep working both as `ssync <name>` and as thin
-// cmd/ wrappers.
+// tools lists every subcommand of ssync.
 var tools = []tool{
 	{"run", "run registered experiments on the sharded harness", RunMain},
 	{"list", "list the registered experiments", ListMain},
 	{"store", "sharded KVS: scenario workload over the wire protocol", StoreMain},
 	{"cluster", "multi-node store cluster: consistent-hash routed workload", ClusterMain},
 	{"figures", "regenerate every table and figure of the paper", FiguresMain},
-	{"lockbench", "lock experiments: Figures 3-8", LockbenchMain},
-	{"ccbench", "cache-coherence latencies: Tables 2-3", CcbenchMain},
-	{"mpbench", "message passing: Figures 9-10 and the prefetchw ablation", MpbenchMain},
-	{"sshtbench", "ssht hash table: Figure 11", SshtbenchMain},
-	{"tmbench", "software transactional memory: the §8 experiment", TmbenchMain},
-	{"kvbench", "memcached-style key-value store: Figure 12", KvbenchMain},
 	{"topology", "print the simulated platform models", TopologyMain},
 	{"lint", "static analysis: check the repo's concurrency and allocation invariants", LintMain},
 }
@@ -106,6 +99,26 @@ func parseInterleaved(fs *flag.FlagSet, argv []string) ([]string, error) {
 	}
 }
 
+// outputFlags registers -json and -csv on fs. The returned function,
+// called after parsing, resolves them to the chosen emitter (a table by
+// default) or reports the two together as a usage error.
+func outputFlags(fs *flag.FlagSet) func() (harness.Emitter, error) {
+	jsonOut := fs.Bool("json", false, "emit JSON")
+	csvOut := fs.Bool("csv", false, "emit CSV")
+	return func() (harness.Emitter, error) {
+		format := "table"
+		switch {
+		case *jsonOut && *csvOut:
+			return nil, errors.New("-json and -csv are mutually exclusive")
+		case *jsonOut:
+			format = "json"
+		case *csvOut:
+			format = "csv"
+		}
+		return harness.EmitterFor(format)
+	}
+}
+
 // intList parses a comma-separated list of integers.
 func intList(s string) ([]int, error) {
 	var out []int
@@ -140,7 +153,7 @@ func platformOrExit(tool, name string, stderr io.Writer) (*arch.Platform, int) {
 	return p, 0
 }
 
-// Run is the process-level entry used by cmd/ main functions.
+// Run is the process-level entry of cmd/ssync.
 func Run(main func([]string, io.Writer, io.Writer) int) {
 	os.Exit(main(os.Args[1:], os.Stdout, os.Stderr))
 }

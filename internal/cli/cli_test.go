@@ -3,6 +3,8 @@ package cli
 import (
 	"bytes"
 	"encoding/json"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -122,9 +124,7 @@ func TestRunErrors(t *testing.T) {
 
 func TestHelpExitsZero(t *testing.T) {
 	for _, args := range [][]string{
-		{"run", "-h"}, {"list", "-h"}, {"lockbench", "-h"}, {"ccbench", "-h"},
-		{"mpbench", "-h"}, {"sshtbench", "-h"}, {"tmbench", "-h"},
-		{"kvbench", "-h"}, {"figures", "-h"}, {"topology", "-h"},
+		{"run", "-h"}, {"list", "-h"}, {"figures", "-h"}, {"topology", "-h"},
 	} {
 		if _, _, code := runMain(t, args...); code != 0 {
 			t.Errorf("%v exited %d, want 0", args, code)
@@ -156,29 +156,60 @@ func TestDispatcher(t *testing.T) {
 	}
 }
 
-// TestLegacyToolsStillWork drives each retired binary's entry point
-// through the dispatcher on its cheapest configuration.
-func TestLegacyToolsStillWork(t *testing.T) {
+// TestRetiredToolsUnknown: the single-figure subcommands are gone —
+// `figures -id` prints each of their artifacts — and help lists exactly
+// the remaining commands.
+func TestRetiredToolsUnknown(t *testing.T) {
+	for _, name := range []string{"lockbench", "ccbench", "mpbench", "sshtbench", "tmbench", "kvbench"} {
+		if _, errOut, code := runMain(t, name); code != 2 || !strings.Contains(errOut, "unknown command") {
+			t.Errorf("%s: exit %d, stderr %q; want 2 and unknown command", name, code, errOut)
+		}
+	}
+	out, _, _ := runMain(t, "help")
+	var listed []string
+	for _, line := range strings.Split(out, "\n") {
+		if strings.HasPrefix(line, "  ") && !strings.HasPrefix(line, "   ") {
+			listed = append(listed, strings.Fields(line)[0])
+		}
+	}
+	want := []string{"run", "list", "store", "cluster", "figures", "topology", "lint"}
+	if strings.Join(listed, " ") != strings.Join(want, " ") {
+		t.Errorf("help lists %v, want %v", listed, want)
+	}
+}
+
+// TestFigures drives the per-artifact front end on its cheapest
+// configurations, and topology alongside it.
+func TestFigures(t *testing.T) {
 	out, errOut, code := runMain(t, "topology", "-platform", "Tilera")
 	if code != 0 || !strings.Contains(out, "Tilera — 36 cores") {
 		t.Errorf("topology: exit %d, %s%s", code, errOut, out)
 	}
-	out, _, code = runMain(t, "ccbench", "-platform", "Niagara", "-local")
-	if code != 0 || !strings.Contains(out, "Table 3") {
-		t.Errorf("ccbench -local failed: %s", out)
+	out, _, code = runMain(t, "figures", "-id", "T3", "-platform", "niagara")
+	if code != 0 || !strings.Contains(out, "Table 3 — Niagara") {
+		t.Errorf("figures -id T3 -platform niagara: exit %d, %s", code, out)
 	}
-	out, _, code = runMain(t, "lockbench", "-fig", "3", "-deadline", "20000")
+	out, _, code = runMain(t, "figures", "-id", "F3", "-quick")
 	if code != 0 || !strings.Contains(out, "Figure 3") {
-		t.Errorf("lockbench -fig 3 failed: %s", out)
+		t.Errorf("figures -id F3 -quick: exit %d, %s", code, out)
 	}
-	out, _, code = runMain(t, "figures", "-id", "T3", "-platform", "Tilera")
-	if code != 0 || !strings.Contains(out, "Table 3 — Tilera") {
-		t.Errorf("figures -id T3 failed: %s", out)
+	report := filepath.Join(t.TempDir(), "report.md")
+	if _, errOut, code := runMain(t, "figures", "-id", "T3", "-platform", "Xeon", "-o", report); code != 0 {
+		t.Errorf("figures -o: exit %d, %s", code, errOut)
+	} else if b, err := os.ReadFile(report); err != nil || !strings.Contains(string(b), "Table 3 — Xeon") {
+		t.Errorf("figures -o wrote %q (%v)", b, err)
 	}
-	if _, _, code = runMain(t, "lockbench", "-fig", "99"); code != 2 {
-		t.Error("lockbench with a bad figure must exit 2")
-	}
-	if _, _, code = runMain(t, "ccbench", "-platform", "PDP-11"); code != 2 {
-		t.Error("ccbench with a bad platform must exit 2")
+	for _, c := range []struct {
+		args []string
+		msg  string
+	}{
+		{[]string{"-id", "F99"}, "unknown experiment"},
+		{[]string{"-platform", "PDP-11"}, "unknown platform"},
+		{[]string{"-id", "F3", "-platform", "Xeon"}, "covers platform Xeon"}, // F3 covers only Opteron
+	} {
+		out, errOut, code := runMain(t, append([]string{"figures"}, c.args...)...)
+		if code != 2 || !strings.Contains(errOut, c.msg) {
+			t.Errorf("figures %v: exit %d, stderr %q, want 2 and %q; output %q", c.args, code, errOut, c.msg, out)
+		}
 	}
 }

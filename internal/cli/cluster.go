@@ -42,8 +42,7 @@ func ClusterMain(argv []string, stdout, stderr io.Writer) int {
 	placeSpec := fs.String("place", "none", "shard placement per node over the host topology (none, compact, scatter, auto); nodes stripe across the host's memory nodes")
 	resize := fs.Bool("resize", false, "measure a live resize (grow then shrink) under load instead of the throughput scenario")
 	window := fs.Duration("window", 300*time.Millisecond, "with -resize: steady and post-resize measurement window")
-	jsonOut := fs.Bool("json", false, "emit JSON")
-	csvOut := fs.Bool("csv", false, "emit CSV")
+	output := outputFlags(fs)
 	if code, ok := parseArgs(fs, argv); !ok {
 		return code
 	}
@@ -72,17 +71,11 @@ func ClusterMain(argv []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "ssync cluster:", err)
 		return 2
 	}
-	format := "table"
-	switch {
-	case *jsonOut && *csvOut:
-		fmt.Fprintln(stderr, "ssync cluster: -json and -csv are mutually exclusive")
+	emitter, err := output()
+	if err != nil {
+		fmt.Fprintln(stderr, "ssync cluster:", err)
 		return 2
-	case *jsonOut:
-		format = "json"
-	case *csvOut:
-		format = "csv"
 	}
-	emitter, _ := harness.EmitterFor(format)
 	policy, err := topo.ParsePolicy(*placeSpec)
 	if err != nil {
 		fmt.Fprintln(stderr, "ssync cluster:", err)

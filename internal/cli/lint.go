@@ -7,9 +7,8 @@ import (
 	"ssync/internal/analysis/suite"
 )
 
-// LintMain runs the repo's static-analysis suite — the same multichecker
-// cmd/ssynclint ships and CI gates on — as an ssync subcommand, so a
-// working tree can be checked without building a second binary.
+// LintMain runs the repo's static-analysis suite — the multichecker CI
+// gates on — as `ssync lint`.
 func LintMain(argv []string, stdout, stderr io.Writer) int {
 	return analysis.Main(suite.Analyzers(), argv, stdout, stderr)
 }

@@ -25,8 +25,7 @@ func RunMain(argv []string, stdout, stderr io.Writer) int {
 	warmup := fs.Int("warmup", 1, "discarded warm-up repetitions per shard")
 	deadline := fs.Uint64("deadline", 0, "simulated cycles per configuration (0 = default)")
 	latencyOps := fs.Int("latencyops", 0, "operations per latency measurement (0 = default)")
-	jsonOut := fs.Bool("json", false, "emit JSON")
-	csvOut := fs.Bool("csv", false, "emit CSV")
+	output := outputFlags(fs)
 	patterns, err := parseInterleaved(fs, argv)
 	if err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -56,17 +55,11 @@ func RunMain(argv []string, stdout, stderr io.Writer) int {
 			return 2
 		}
 	}
-	format := "table"
-	switch {
-	case *jsonOut && *csvOut:
-		fmt.Fprintln(stderr, "ssync run: -json and -csv are mutually exclusive")
+	emitter, err := output()
+	if err != nil {
+		fmt.Fprintln(stderr, "ssync run:", err)
 		return 2
-	case *jsonOut:
-		format = "json"
-	case *csvOut:
-		format = "csv"
 	}
-	emitter, _ := harness.EmitterFor(format)
 
 	results, err := harness.Run(exps, opt)
 	if err != nil {

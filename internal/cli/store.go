@@ -42,8 +42,7 @@ func StoreMain(argv []string, stdout, stderr io.Writer) int {
 	placeSpec := fs.String("place", "none", "shard placement over the host topology (none, compact, scatter, auto)")
 	batch := fs.Int("batch", 1, "ops per multi-op request (1 = scalar ops)")
 	pipeline := fs.Int("pipeline", 1, "op groups each client keeps in flight (1 = lock-step)")
-	jsonOut := fs.Bool("json", false, "emit JSON")
-	csvOut := fs.Bool("csv", false, "emit CSV")
+	output := outputFlags(fs)
 	if code, ok := parseArgs(fs, argv); !ok {
 		return code
 	}
@@ -73,17 +72,11 @@ func StoreMain(argv []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "ssync store:", err)
 		return 2
 	}
-	format := "table"
-	switch {
-	case *jsonOut && *csvOut:
-		fmt.Fprintln(stderr, "ssync store: -json and -csv are mutually exclusive")
+	emitter, err := output()
+	if err != nil {
+		fmt.Fprintln(stderr, "ssync store:", err)
 		return 2
-	case *jsonOut:
-		format = "json"
-	case *csvOut:
-		format = "csv"
 	}
-	emitter, _ := harness.EmitterFor(format)
 	if *preload < 0 {
 		*preload = int(*keys / 2)
 	}

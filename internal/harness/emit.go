@@ -80,7 +80,7 @@ func (CSV) Emit(w io.Writer, results []Result) error {
 
 // Table renders one fixed-width table per experiment × platform, metrics
 // as columns and thread counts as rows, through the same figure formatter
-// the cmd/ tools print with.
+// `ssync figures` prints with.
 type Table struct{}
 
 // Emit implements Emitter.

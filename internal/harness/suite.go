@@ -11,8 +11,8 @@ import (
 
 // This file registers the simulated half of the suite: every experiment
 // runs on the paper's machine models through internal/bench's per-cell
-// runners, so one `ssync run` covers everything the lockbench, ccbench,
-// mpbench, sshtbench, tmbench and kvbench binaries measured.
+// runners, so one `ssync run` covers every simulated artifact that
+// `ssync figures` prints as text.
 
 // atLeast filters a thread grid to counts ≥ min (for experiments that
 // need a minimum number of participants).

@@ -10,8 +10,8 @@ import (
 // tiny keeps every suite experiment to a few milliseconds.
 var tiny = bench.Config{Deadline: 20_000, LatencyOps: 8, Reps: 1}
 
-// TestSuiteRegistered pins the suite surface: the experiments the seven
-// retired cmd/*bench binaries measured must all be present.
+// TestSuiteRegistered pins the suite surface: the experiments behind
+// every paper artifact and the store families must all be present.
 func TestSuiteRegistered(t *testing.T) {
 	want := []string{
 		"locks/single", "locks/many", "atomics/stress", "ticket/variants",
