@@ -1,6 +1,7 @@
 package cli
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -8,9 +9,7 @@ import (
 
 	"ssync/internal/cluster"
 	"ssync/internal/harness"
-	"ssync/internal/store"
 	"ssync/internal/topo"
-	"ssync/internal/workload"
 )
 
 // ClusterMain implements `ssync cluster`: it spins up an N-node store
@@ -23,23 +22,9 @@ import (
 func ClusterMain(argv []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("ssync cluster", flag.ContinueOnError)
 	fs.SetOutput(stderr)
+	f := addStackFlags(fs, 8, 4, 8, "shard engine per node (locked, actor, optimistic)")
 	nodes := fs.Int("nodes", 4, "cluster node count")
 	vnodes := fs.Int("vnodes", cluster.DefaultVnodes, "ring virtual points per node")
-	engineSpec := fs.String("engine", "locked", "shard engine per node (locked, actor, optimistic)")
-	alg := fs.String("alg", "ticket", "shard-lock algorithm (tas, ttas, ticket, array, mutex, mcs, clh, hclh, hticket)")
-	shards := fs.Int("shards", 8, "shards per node")
-	distSpec := fs.String("dist", "zipfian", "key distribution: uniform, zipfian, zipfian:<theta>")
-	mixSpec := fs.String("mix", "95:5", "op mix get:put or get:put:scan percentages")
-	clients := fs.Int("clients", 8, "steady-phase client connections")
-	keys := fs.Uint64("keys", 16384, "key-space size")
-	ops := fs.Int("ops", 20000, "steady-phase operations per client")
-	valueSize := fs.Int("value", 64, "value size in bytes")
-	scanLimit := fs.Int("scanlimit", 16, "entries per scan")
-	preload := fs.Int("preload", -1, "keys preloaded before the run (-1 = half the key space)")
-	seed := fs.Uint64("seed", 0, "workload RNG seed (0 = fixed default)")
-	batch := fs.Int("batch", 4, "ops per routed op group (1 = scalar ops)")
-	pipeline := fs.Int("pipeline", 8, "op groups each client keeps in flight (1 = lock-step)")
-	placeSpec := fs.String("place", "none", "shard placement per node over the host topology (none, compact, scatter, auto); nodes stripe across the host's memory nodes")
 	resize := fs.Bool("resize", false, "measure a live resize (grow then shrink) under load instead of the throughput scenario")
 	window := fs.Duration("window", 300*time.Millisecond, "with -resize: steady and post-resize measurement window")
 	output := outputFlags(fs)
@@ -47,57 +32,26 @@ func ClusterMain(argv []string, stdout, stderr io.Writer) int {
 		return code
 	}
 
-	if *nodes < 1 {
-		fmt.Fprintln(stderr, "ssync cluster: -nodes must be at least 1")
-		return 2
+	run, err := f.resolve(false)
+	switch {
+	case err != nil:
+	case *nodes < 1:
+		err = errors.New("-nodes must be at least 1")
+	case *vnodes < 1:
+		err = errors.New("-vnodes must be at least 1")
 	}
-	algorithm, err := lockAlgorithm(*alg)
+	var emitter harness.Emitter
+	if err == nil {
+		emitter, err = output()
+	}
 	if err != nil {
 		fmt.Fprintln(stderr, "ssync cluster:", err)
 		return 2
 	}
-	eng, err := store.ParseEngine(*engineSpec)
-	if err != nil {
-		fmt.Fprintln(stderr, "ssync cluster:", err)
-		return 2
+	if run.policy.Pins() {
+		fmt.Fprintf(stderr, "placement: %s, nodes striped over %s\n", run.policy, topo.Discover())
 	}
-	dist, err := workload.ParseDist(*distSpec, *keys)
-	if err != nil {
-		fmt.Fprintln(stderr, "ssync cluster:", err)
-		return 2
-	}
-	mix, err := workload.ParseMix(*mixSpec)
-	if err != nil {
-		fmt.Fprintln(stderr, "ssync cluster:", err)
-		return 2
-	}
-	emitter, err := output()
-	if err != nil {
-		fmt.Fprintln(stderr, "ssync cluster:", err)
-		return 2
-	}
-	policy, err := topo.ParsePolicy(*placeSpec)
-	if err != nil {
-		fmt.Fprintln(stderr, "ssync cluster:", err)
-		return 2
-	}
-	if policy.Pins() {
-		fmt.Fprintf(stderr, "placement: %s, nodes striped over %s\n", policy, topo.Discover())
-	}
-	if *preload < 0 {
-		*preload = int(*keys / 2)
-	}
-	if *batch < 1 {
-		*batch = 1
-	}
-	if *batch > store.MaxBatchOps {
-		fmt.Fprintf(stderr, "ssync cluster: -batch %d exceeds the wire limit of %d ops per frame\n",
-			*batch, store.MaxBatchOps)
-		return 2
-	}
-	if *pipeline < 1 {
-		*pipeline = 1
-	}
+	eng := run.opt.Engine
 
 	// -resize: instead of the throughput scenario, measure a live
 	// membership change — grow by one node, then retire an original
@@ -109,13 +63,14 @@ func ClusterMain(argv []string, stdout, stderr io.Writer) int {
 		res, err := harness.MigrateBench(harness.MigrateBenchConfig{
 			Nodes:     *nodes,
 			Vnodes:    *vnodes,
+			Place:     run.policy,
 			Engine:    eng,
-			Lock:      algorithm,
-			Shards:    *shards,
-			Clients:   *clients,
-			Keys:      *keys,
-			Preload:   *preload,
-			ValueSize: *valueSize,
+			Lock:      run.opt.Lock,
+			Shards:    run.opt.Shards,
+			Clients:   run.clients,
+			Keys:      run.scenario.Keys,
+			Preload:   run.scenario.Preload,
+			ValueSize: run.scenario.ValueSize,
 			Steady:    *window,
 			Remove:    *nodes > 1,
 		})
@@ -124,21 +79,21 @@ func ClusterMain(argv []string, stdout, stderr io.Writer) int {
 			return 1
 		}
 		fmt.Fprintf(stderr, "resize %d→%d nodes (%s engine): moved %d of %d keys, add %.1fms",
-			*nodes, *nodes+1, eng, res.Moved, *keys, res.AddMs)
+			*nodes, *nodes+1, eng, res.Moved, run.scenario.Keys, res.AddMs)
 		if *nodes > 1 {
 			fmt.Fprintf(stderr, ", remove %.1fms", res.RemoveMs)
 		}
 		fmt.Fprintln(stderr)
 		results := []harness.Result{
-			oneResult(experiment, *clients, "steady Kops/s", res.SteadyKops),
-			oneResult(experiment, *clients, "dip Kops/s", res.DipKops),
-			oneResult(experiment, *clients, "dip %", res.DipPct),
-			oneResult(experiment, *clients, "recovery ms", res.RecoveryMs),
-			oneResult(experiment, *clients, "ops after resize", float64(res.TailOps)),
-			oneResult(experiment, *clients, "add ms", res.AddMs),
+			oneResult(experiment, run.clients, "steady Kops/s", res.SteadyKops),
+			oneResult(experiment, run.clients, "dip Kops/s", res.DipKops),
+			oneResult(experiment, run.clients, "dip %", res.DipPct),
+			oneResult(experiment, run.clients, "recovery ms", res.RecoveryMs),
+			oneResult(experiment, run.clients, "ops after resize", float64(res.TailOps)),
+			oneResult(experiment, run.clients, "add ms", res.AddMs),
 		}
 		if *nodes > 1 {
-			results = append(results, oneResult(experiment, *clients, "remove ms", res.RemoveMs))
+			results = append(results, oneResult(experiment, run.clients, "remove ms", res.RemoveMs))
 		}
 		if err := emitter.Emit(stdout, results); err != nil {
 			fmt.Fprintln(stderr, "ssync cluster:", err)
@@ -148,63 +103,16 @@ func ClusterMain(argv []string, stdout, stderr io.Writer) int {
 	}
 
 	experiment := fmt.Sprintf("cluster/%dx%s", *nodes, eng)
-	storeOpt := store.Options{
-		Shards:     *shards,
-		Engine:     eng,
-		Lock:       algorithm,
-		MaxThreads: *clients + 2,
-	}
-	scenario := workload.Scenario{
-		Dist:      dist,
-		Keys:      *keys,
-		Mix:       mix,
-		ValueSize: *valueSize,
-		ScanLimit: *scanLimit,
-		Phases:    workload.RampSteady(*clients, *ops),
-		Seed:      *seed,
-		Batch:     *batch,
-		Pipeline:  *pipeline,
-	}
-
-	// runOne builds a fresh n-node cluster, preloads it through a routed
-	// client, runs the scenario and returns the phase results plus the
-	// per-node operation-count deltas over the measured window.
-	runOne := func(n int) ([]workload.PhaseResult, []uint64, time.Duration, error) {
-		c := cluster.New(cluster.Options{Nodes: n, Vnodes: *vnodes, Store: storeOpt, Place: policy})
-		defer c.Close()
-		dial := func(int) (workload.Conn, error) {
-			return store.Driver{C: c.Dial(*pipeline)}, nil
+	sc := run.scenario
+	transport := fmt.Sprintf("routed wire (depth %d × batch %d)", sc.Pipeline, sc.Batch)
+	runOn := func(n int) (harness.StackResult, error) {
+		res, err := harness.RunStack(harness.StackSpec{
+			Nodes: n, Vnodes: *vnodes, Place: run.policy, Store: run.opt, Window: sc.Pipeline, Scenario: sc,
+		})
+		if err == nil {
+			printRun(stderr, res, transport, sc)
 		}
-		if *preload > 0 {
-			conn, err := dial(0)
-			if err == nil {
-				err = workload.Preload(conn, *preload, *valueSize)
-				conn.Close()
-			}
-			if err != nil {
-				return nil, nil, 0, fmt.Errorf("preload: %w", err)
-			}
-		}
-		before := make([]uint64, n)
-		for i := 0; i < n; i++ {
-			before[i] = nodeOps(c.Store(i))
-		}
-		phases, err := workload.Run(scenario, dial)
-		if err != nil {
-			return nil, nil, 0, err
-		}
-		deltas := make([]uint64, n)
-		for i := 0; i < n; i++ {
-			deltas[i] = nodeOps(c.Store(i)) - before[i]
-		}
-		var total time.Duration
-		fmt.Fprintf(stderr, "%s over routed wire (depth %d × batch %d), %s keys, mix %s:\n",
-			c, *pipeline, *batch, dist.Name(), mix)
-		for _, ph := range phases {
-			fmt.Fprintln(stderr, " ", ph)
-			total += ph.Duration
-		}
-		return phases, deltas, total, nil
+		return res, err
 	}
 
 	var results []harness.Result
@@ -213,43 +121,25 @@ func ClusterMain(argv []string, stdout, stderr io.Writer) int {
 	// client shape against one node, from this same invocation — the row
 	// every multi-node number is read against.
 	if *nodes > 1 {
-		basePhases, _, _, err := runOne(1)
+		base, err := runOn(1)
 		if err != nil {
 			fmt.Fprintln(stderr, "ssync cluster: single-node baseline:", err)
 			return 1
 		}
-		baseSteady := basePhases[len(basePhases)-1]
 		results = append(results,
-			oneResult(experiment, *clients, "single-node baseline Kops/s", baseSteady.Kops()))
+			oneResult(experiment, run.clients, "single-node baseline Kops/s", base.Steady().Kops()))
 	}
 
-	phases, deltas, total, err := runOne(*nodes)
+	res, err := runOn(*nodes)
 	if err != nil {
 		fmt.Fprintln(stderr, "ssync cluster:", err)
 		return 1
 	}
-	results = append(results, summaryResults(experiment, *clients, phases)...)
-	secs := total.Seconds()
-	for i, d := range deltas {
-		kops := 0.0
-		if secs > 0 {
-			kops = float64(d) / secs / 1e3
-		}
-		results = append(results, oneResult(experiment, *clients, fmt.Sprintf("node%02d Kops/s", i), kops))
-	}
+	results = append(results, summaryResults(experiment, run.clients, res.Phases)...)
+	results = append(results, partResults(experiment, run.clients, "node", res)...)
 	if err := emitter.Emit(stdout, results); err != nil {
 		fmt.Fprintln(stderr, "ssync cluster:", err)
 		return 1
 	}
 	return 0
-}
-
-// nodeOps sums a node store's operation counters across its shards.
-func nodeOps(st *store.Store) uint64 {
-	h := st.NewHandle(0)
-	total := uint64(0)
-	for _, c := range h.ShardStats() {
-		total += c.Total()
-	}
-	return total
 }

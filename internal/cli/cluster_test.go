@@ -130,6 +130,15 @@ func TestClusterErrors(t *testing.T) {
 	if _, _, code := runMain(t, "cluster", "-json", "-csv"); code != 2 {
 		t.Error("-json -csv must exit 2")
 	}
+	for _, args := range [][]string{
+		{"-clients", "0"}, {"-ops", "0"}, {"-keys", "0"}, {"-shards", "0"}, {"-value", "-5"},
+		{"-vnodes", "-1"}, {"-preload", "999999", "-keys", "10"},
+	} {
+		_, errOut, code := runMain(t, append([]string{"cluster"}, args...)...)
+		if code != 2 || !strings.Contains(errOut, args[0]) {
+			t.Errorf("cluster %v: exit %d, want 2 and a message naming the flag; stderr: %s", args, code, errOut)
+		}
+	}
 	if _, _, code := runMain(t, "cluster", "-h"); code != 0 {
 		t.Error("cluster -h must exit 0")
 	}

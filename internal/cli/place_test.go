@@ -52,4 +52,14 @@ func TestClusterPlaceSmoke(t *testing.T) {
 	if !strings.Contains(errOut, "placement: compact") {
 		t.Fatalf("no placement banner on stderr: %s", errOut)
 	}
+	// A live resize builds its cluster under the same placement.
+	out, errOut, code = runMain(t,
+		"cluster", "-resize", "-nodes", "2", "-shards", "2", "-clients", "2",
+		"-keys", "512", "-window", "60ms", "-place", "compact")
+	if code != 0 {
+		t.Fatalf("-resize: exit %d, stderr: %s", code, errOut)
+	}
+	if !strings.Contains(out, "ops after resize") || !strings.Contains(errOut, "placement: compact") {
+		t.Fatalf("-resize -place compact: missing rows or banner:\n%s\n%s", out, errOut)
+	}
 }

@@ -1,11 +1,11 @@
 package cli
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"strings"
-	"time"
 
 	"ssync/internal/harness"
 	"ssync/internal/locks"
@@ -25,102 +25,37 @@ import (
 func StoreMain(argv []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("ssync store", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	alg := fs.String("alg", "ticket", "shard-lock algorithm (tas, ttas, ticket, array, mutex, mcs, clh, hclh, hticket)")
-	engineSpec := fs.String("engine", "locked", "shard engine (locked, actor, optimistic), or all to compare every engine in one run")
-	shards := fs.Int("shards", 16, "independently synchronized shards")
+	f := addStackFlags(fs, 16, 1, 1,
+		"shard engine (locked, actor, optimistic), or all to compare every engine in one run")
 	buckets := fs.Int("buckets", 64, "buckets per shard")
-	distSpec := fs.String("dist", "zipfian", "key distribution: uniform, zipfian, zipfian:<theta>")
-	mixSpec := fs.String("mix", "95:5", "op mix get:put or get:put:scan percentages")
-	clients := fs.Int("clients", 8, "steady-phase client connections")
-	keys := fs.Uint64("keys", 16384, "key-space size")
-	ops := fs.Int("ops", 20000, "steady-phase operations per client")
-	valueSize := fs.Int("value", 64, "value size in bytes")
-	scanLimit := fs.Int("scanlimit", 16, "entries per scan")
-	preload := fs.Int("preload", -1, "keys preloaded before the run (-1 = half the key space)")
-	seed := fs.Uint64("seed", 0, "workload RNG seed (0 = fixed default)")
 	local := fs.Bool("local", false, "drive in-process handles instead of the wire protocol")
-	placeSpec := fs.String("place", "none", "shard placement over the host topology (none, compact, scatter, auto)")
-	batch := fs.Int("batch", 1, "ops per multi-op request (1 = scalar ops)")
-	pipeline := fs.Int("pipeline", 1, "op groups each client keeps in flight (1 = lock-step)")
 	output := outputFlags(fs)
 	if code, ok := parseArgs(fs, argv); !ok {
 		return code
 	}
-
-	algorithm, err := lockAlgorithm(*alg)
+	allEngines := *f.engine == "all"
+	run, err := f.resolve(allEngines)
+	var emitter harness.Emitter
+	if err == nil {
+		emitter, err = output()
+	}
 	if err != nil {
 		fmt.Fprintln(stderr, "ssync store:", err)
 		return 2
 	}
-	allEngines := *engineSpec == "all"
-	engines := store.Engines
-	if !allEngines {
-		eng, err := store.ParseEngine(*engineSpec)
-		if err != nil {
-			fmt.Fprintln(stderr, "ssync store:", err)
-			return 2
-		}
-		engines = []store.Engine{eng}
+	if run.policy.Pins() {
+		run.opt.Placement = topo.NewPlacement(run.policy, nil) // nil: discover the host
+		fmt.Fprintf(stderr, "placement: %s over %s\n", run.policy, run.opt.Placement.Topo)
 	}
-	dist, err := workload.ParseDist(*distSpec, *keys)
-	if err != nil {
-		fmt.Fprintln(stderr, "ssync store:", err)
-		return 2
-	}
-	mix, err := workload.ParseMix(*mixSpec)
-	if err != nil {
-		fmt.Fprintln(stderr, "ssync store:", err)
-		return 2
-	}
-	emitter, err := output()
-	if err != nil {
-		fmt.Fprintln(stderr, "ssync store:", err)
-		return 2
-	}
-	if *preload < 0 {
-		*preload = int(*keys / 2)
-	}
-	if *batch < 1 {
-		*batch = 1
-	}
-	if *batch > store.MaxBatchOps {
-		fmt.Fprintf(stderr, "ssync store: -batch %d exceeds the wire limit of %d ops per frame\n",
-			*batch, store.MaxBatchOps)
-		return 2
-	}
-	if *pipeline < 1 {
-		*pipeline = 1
-	}
-	pipelined := !*local && (*batch > 1 || *pipeline > 1)
-
-	policy, err := topo.ParsePolicy(*placeSpec)
-	if err != nil {
-		fmt.Fprintln(stderr, "ssync store:", err)
-		return 2
-	}
-	var placement *topo.Placement
-	if policy.Pins() {
-		placement = topo.NewPlacement(policy, nil) // nil: discover the host
-		fmt.Fprintf(stderr, "placement: %s over %s\n", policy, placement.Topo)
-	}
-
-	opt := store.Options{
-		Shards:     *shards,
-		Buckets:    *buckets,
-		Lock:       algorithm,
-		MaxThreads: *clients + 2,
-		Placement:  placement,
-	}
-	scenario := workload.Scenario{
-		Dist:      dist,
-		Keys:      *keys,
-		Mix:       mix,
-		ValueSize: *valueSize,
-		ScanLimit: *scanLimit,
-		Phases:    workload.RampSteady(*clients, *ops),
-		Seed:      *seed,
-		Batch:     *batch,
-		Pipeline:  *pipeline,
+	run.opt.Buckets = *buckets
+	sc := run.scenario
+	window, transport := 0, "wire"
+	switch {
+	case *local:
+		transport = "local"
+	case sc.Batch > 1 || sc.Pipeline > 1:
+		window = sc.Pipeline
+		transport = fmt.Sprintf("pipelined wire (depth %d × batch %d)", sc.Pipeline, sc.Batch)
 	}
 
 	// experimentFor names a row set: single locked-engine runs keep the
@@ -132,71 +67,21 @@ func StoreMain(argv []string, stdout, stderr io.Writer) int {
 		case eng == store.EngineActor:
 			return "store-engine/actor"
 		case eng == store.EngineLocked && !allEngines:
-			return "store/" + strings.ToLower(string(algorithm))
+			return "store/" + strings.ToLower(string(run.opt.Lock))
 		default:
-			return fmt.Sprintf("store-engine/%s/%s", eng, strings.ToLower(string(algorithm)))
+			return fmt.Sprintf("store-engine/%s/%s", eng, strings.ToLower(string(run.opt.Lock)))
 		}
 	}
-
-	// runOne builds a fresh store on eng, preloads it, runs the scenario
-	// and shapes the result rows (per-shard rows only when a single
-	// engine is shown — an all-engine table keeps to the totals).
-	runOne := func(eng store.Engine) ([]harness.Result, bool) {
-		o := opt
-		o.Engine = eng
-		st := store.New(o)
-		defer st.Close()
-		srv := store.NewServer(st, 2)
-		dial := func(c int) (workload.Conn, error) {
-			switch {
-			case *local:
-				return store.Driver{C: st.NewLocalConn(c % 2)}, nil
-			case pipelined:
-				return store.Driver{C: srv.PipeAsyncClient(*pipeline)}, nil
-			default:
-				return store.Driver{C: srv.PipeClient()}, nil
-			}
-		}
-		// Preload before the counter snapshot, so per-shard throughput
-		// reflects only the measured phases.
-		if *preload > 0 {
-			c, err := dial(0)
-			if err == nil {
-				err = workload.Preload(c, *preload, *valueSize)
-				c.Close()
-			}
-			if err != nil {
-				fmt.Fprintf(stderr, "ssync store: %s preload: %v\n", eng, err)
-				return nil, false
-			}
-		}
-		mon := st.NewHandle(0)
-		before := mon.ShardStats()
-		phases, err := workload.Run(scenario, dial)
-		after := mon.ShardStats()
+	runOn := func(eng store.Engine, sp harness.StackSpec, transport string) (harness.StackResult, bool) {
+		sp.Store = run.opt
+		sp.Store.Engine = eng
+		res, err := harness.RunStack(sp)
 		if err != nil {
-			fmt.Fprintf(stderr, "ssync store: %s: %v\n", eng, err)
-			return nil, false
+			fmt.Fprintf(stderr, "ssync store: %s over %s: %v\n", eng, transport, err)
+			return res, false
 		}
-
-		transport := "wire"
-		switch {
-		case *local:
-			transport = "local"
-		case pipelined:
-			transport = fmt.Sprintf("pipelined wire (depth %d × batch %d)", *pipeline, *batch)
-		}
-		fmt.Fprintf(stderr, "%s over %s, %s keys, mix %s:\n", st, transport, dist.Name(), mix)
-		var total time.Duration
-		for _, ph := range phases {
-			fmt.Fprintln(stderr, " ", ph)
-			total += ph.Duration
-		}
-		experiment := experimentFor(eng)
-		if allEngines {
-			return summaryResults(experiment, *clients, phases), true
-		}
-		return shardResults(experiment, *clients, phases, before, after, total), true
+		printRun(stderr, res, transport, sp.Scenario)
+		return res, true
 	}
 
 	var results []harness.Result
@@ -205,44 +90,147 @@ func StoreMain(argv []string, stdout, stderr io.Writer) int {
 	// the same scenario over one-in-flight wire clients against a fresh
 	// store, so the emitted table shows what depth×batch bought on this
 	// exact engine/alg/shard config. (All-mode compares engines instead.)
-	if pipelined && !allEngines {
-		o := opt
-		o.Engine = engines[0]
-		base := store.New(o)
-		baseSrv := store.NewServer(base, 2)
-		baseDial := func(c int) (workload.Conn, error) {
-			return store.Driver{C: baseSrv.PipeClient()}, nil
-		}
-		baseScenario := scenario
-		baseScenario.Batch, baseScenario.Pipeline = 1, 1
-		baseScenario.Preload = *preload
-		basePhases, err := workload.Run(baseScenario, baseDial)
-		base.Close()
-		if err != nil {
-			fmt.Fprintln(stderr, "ssync store: lock-step baseline:", err)
-			return 1
-		}
-		baseSteady := basePhases[len(basePhases)-1]
-		fmt.Fprintf(stderr, "%s over wire (lock-step baseline):\n", base)
-		for _, ph := range basePhases {
-			fmt.Fprintln(stderr, " ", ph)
-		}
-		results = append(results,
-			oneResult(experimentFor(engines[0]), *clients, "lockstep wire Kops/s", baseSteady.Kops()))
-	}
-
-	for _, eng := range engines {
-		rows, ok := runOne(eng)
+	if window > 0 && !allEngines {
+		base := sc
+		base.Batch, base.Pipeline = 1, 1
+		res, ok := runOn(run.engines[0], harness.StackSpec{Scenario: base}, "wire (lock-step baseline)")
 		if !ok {
 			return 1
 		}
-		results = append(results, rows...)
+		results = append(results,
+			oneResult(experimentFor(run.engines[0]), run.clients, "lockstep wire Kops/s", res.Steady().Kops()))
+	}
+
+	for _, eng := range run.engines {
+		res, ok := runOn(eng, harness.StackSpec{Local: *local, Window: window, Scenario: sc}, transport)
+		if !ok {
+			return 1
+		}
+		// An all-engine table keeps to the totals; a single engine also
+		// shows its per-shard throughput over the whole run.
+		experiment := experimentFor(eng)
+		results = append(results, summaryResults(experiment, run.clients, res.Phases)...)
+		if !allEngines {
+			results = append(results, partResults(experiment, run.clients, "shard", res)...)
+		}
 	}
 	if err := emitter.Emit(stdout, results); err != nil {
 		fmt.Fprintln(stderr, "ssync store:", err)
 		return 1
 	}
 	return 0
+}
+
+// stackFlags are the flags `ssync store` and `ssync cluster` share: the
+// store (each node's, in a cluster) and the scenario driven against it.
+type stackFlags struct {
+	alg, engine, dist, mix, place                                    *string
+	shards, clients, ops, value, scanLimit, preload, batch, pipeline *int
+	keys, seed                                                       *uint64
+}
+
+// addStackFlags registers the shared flags on fs with the command's
+// defaults and its -engine description.
+func addStackFlags(fs *flag.FlagSet, shards, batch, pipeline int, engineDoc string) *stackFlags {
+	return &stackFlags{
+		alg:       fs.String("alg", "ticket", "shard-lock algorithm (tas, ttas, ticket, array, mutex, mcs, clh, hclh, hticket)"),
+		engine:    fs.String("engine", "locked", engineDoc),
+		shards:    fs.Int("shards", shards, "independently synchronized shards per store"),
+		dist:      fs.String("dist", "zipfian", "key distribution: uniform, zipfian, zipfian:<theta>"),
+		mix:       fs.String("mix", "95:5", "op mix get:put or get:put:scan percentages"),
+		clients:   fs.Int("clients", 8, "steady-phase client connections"),
+		keys:      fs.Uint64("keys", 16384, "key-space size"),
+		ops:       fs.Int("ops", 20000, "steady-phase operations per client"),
+		value:     fs.Int("value", 64, "value size in bytes"),
+		scanLimit: fs.Int("scanlimit", 16, "entries per scan"),
+		preload:   fs.Int("preload", -1, "keys preloaded before the run (-1 = half the key space)"),
+		seed:      fs.Uint64("seed", 0, "workload RNG seed (0 = fixed default)"),
+		batch:     fs.Int("batch", batch, "ops per multi-op request or routed op group (1 = scalar ops)"),
+		pipeline:  fs.Int("pipeline", pipeline, "op groups each client keeps in flight (1 = lock-step)"),
+		place: fs.String("place", "none", "shard placement over the host topology (none, compact, scatter, auto); "+
+			"cluster nodes stripe across the host's memory nodes"),
+	}
+}
+
+// stackRun is the validated form of stackFlags.
+type stackRun struct {
+	engines  []store.Engine
+	clients  int
+	opt      store.Options // shards, engine, lock, MaxThreads
+	policy   topo.Policy
+	scenario workload.Scenario
+}
+
+// resolve validates the shared flags; every error it returns is a usage
+// error. all accepts -engine all, which selects every engine.
+func (f *stackFlags) resolve(all bool) (stackRun, error) {
+	r := stackRun{engines: store.Engines, clients: *f.clients}
+	alg, err := lockAlgorithm(*f.alg)
+	if err != nil {
+		return r, err
+	}
+	if !all {
+		eng, err := store.ParseEngine(*f.engine)
+		if err != nil {
+			return r, err
+		}
+		r.engines = []store.Engine{eng}
+	}
+	for _, v := range []struct {
+		name string
+		n    int
+	}{{"clients", *f.clients}, {"ops", *f.ops}, {"shards", *f.shards}, {"value", *f.value}} {
+		if v.n < 1 {
+			return r, fmt.Errorf("-%s must be at least 1", v.name)
+		}
+	}
+	if *f.keys < 1 {
+		return r, errors.New("-keys must be at least 1")
+	}
+	dist, err := workload.ParseDist(*f.dist, *f.keys)
+	if err != nil {
+		return r, err
+	}
+	mix, err := workload.ParseMix(*f.mix)
+	if err != nil {
+		return r, err
+	}
+	if r.policy, err = topo.ParsePolicy(*f.place); err != nil {
+		return r, err
+	}
+	preload := *f.preload
+	if preload < 0 {
+		preload = int(*f.keys / 2)
+	}
+	if uint64(preload) > *f.keys {
+		return r, fmt.Errorf("-preload %d exceeds the %d-key space", preload, *f.keys)
+	}
+	batch, pipeline := max(*f.batch, 1), max(*f.pipeline, 1)
+	if batch > store.MaxBatchOps {
+		return r, fmt.Errorf("-batch %d exceeds the wire limit of %d ops per frame", batch, store.MaxBatchOps)
+	}
+	r.opt = store.Options{Shards: *f.shards, Engine: r.engines[0], Lock: alg, MaxThreads: *f.clients + 2}
+	r.scenario = workload.Scenario{
+		Dist:      dist,
+		Keys:      *f.keys,
+		Mix:       mix,
+		ValueSize: *f.value,
+		ScanLimit: *f.scanLimit,
+		Preload:   preload,
+		Phases:    workload.RampSteady(*f.clients, *f.ops),
+		Seed:      *f.seed,
+		Batch:     batch,
+		Pipeline:  pipeline,
+	}
+	return r, nil
+}
+
+// printRun writes a run's one-line description and its phases.
+func printRun(w io.Writer, res harness.StackResult, transport string, sc workload.Scenario) {
+	fmt.Fprintf(w, "%s over %s, %s keys, mix %s:\n", res.System, transport, sc.Dist.Name(), sc.Mix)
+	for _, ph := range res.Phases {
+		fmt.Fprintln(w, " ", ph)
+	}
 }
 
 // oneResult shapes a single measurement into a harness result row.
@@ -258,7 +246,7 @@ func oneResult(experiment string, clients int, metric string, v float64) harness
 	}
 }
 
-// summaryResults shapes the steady-phase totals (no per-shard rows).
+// summaryResults shapes the steady-phase totals.
 func summaryResults(experiment string, clients int, phases []workload.PhaseResult) []harness.Result {
 	steady := phases[len(phases)-1]
 	results := []harness.Result{oneResult(experiment, clients, "total Kops/s", steady.Kops())}
@@ -269,19 +257,17 @@ func summaryResults(experiment string, clients int, phases []workload.PhaseResul
 	return results
 }
 
-// shardResults shapes the run into harness results: steady-phase totals
-// plus per-shard throughput over the whole run, one metric per shard.
-func shardResults(experiment string, clients int, phases []workload.PhaseResult,
-	before, after []store.Counters, total time.Duration) []harness.Result {
-	results := summaryResults(experiment, clients, phases)
-	secs := total.Seconds()
-	for i := range after {
-		delta := after[i].Sub(before[i])
+// partResults shapes the throughput of each shard or node over the
+// whole run, one metric per part ("shard00 Kops/s", "node00 Kops/s").
+func partResults(experiment string, clients int, part string, res harness.StackResult) []harness.Result {
+	var results []harness.Result
+	secs := res.Elapsed.Seconds()
+	for i, n := range res.Ops {
 		kops := 0.0
 		if secs > 0 {
-			kops = float64(delta.Total()) / secs / 1e3
+			kops = float64(n) / secs / 1e3
 		}
-		results = append(results, oneResult(experiment, clients, fmt.Sprintf("shard%02d Kops/s", i), kops))
+		results = append(results, oneResult(experiment, clients, fmt.Sprintf("%s%02d Kops/s", part, i), kops))
 	}
 	return results
 }

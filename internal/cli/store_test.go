@@ -132,6 +132,16 @@ func TestStoreErrors(t *testing.T) {
 	if _, _, code := runMain(t, "store", "-batch", "5000"); code != 2 {
 		t.Error("-batch above the wire limit must exit 2")
 	}
+	// Out-of-range sizes are usage errors, not silent defaults.
+	for _, args := range [][]string{
+		{"-clients", "0"}, {"-ops", "0"}, {"-keys", "0"}, {"-shards", "0"}, {"-value", "-5"},
+		{"-preload", "999999", "-keys", "10"},
+	} {
+		_, errOut, code := runMain(t, append([]string{"store"}, args...)...)
+		if code != 2 || !strings.Contains(errOut, args[0]) {
+			t.Errorf("store %v: exit %d, want 2 and a message naming the flag; stderr: %s", args, code, errOut)
+		}
+	}
 	if _, _, code := runMain(t, "store", "-h"); code != 0 {
 		t.Error("store -h must exit 0")
 	}

@@ -6,9 +6,9 @@ import (
 	"sync/atomic"
 	"time"
 
-	"ssync/internal/cluster"
 	"ssync/internal/locks"
 	"ssync/internal/store"
+	"ssync/internal/topo"
 	"ssync/internal/workload"
 	"ssync/internal/xrand"
 )
@@ -27,6 +27,8 @@ type MigrateBenchConfig struct {
 	Nodes int
 	// Vnodes is the ring's virtual-point count per node.
 	Vnodes int
+	// Place is the shard-placement policy inside every member's store.
+	Place topo.Policy
 	// Engine is the shard engine of every node's store.
 	Engine store.Engine
 	// Lock is the shard-lock algorithm. Default TICKET.
@@ -56,12 +58,6 @@ type MigrateBenchConfig struct {
 func (c MigrateBenchConfig) withDefaults() MigrateBenchConfig {
 	if c.Nodes < 1 {
 		c.Nodes = 2
-	}
-	if c.Engine == "" {
-		c.Engine = store.EngineLocked
-	}
-	if c.Lock == "" {
-		c.Lock = locks.TICKET
 	}
 	if c.Shards < 1 {
 		c.Shards = 8
@@ -113,9 +109,10 @@ type MigrateBenchResult struct {
 func MigrateBench(cfg MigrateBenchConfig) (MigrateBenchResult, error) {
 	cfg = cfg.withDefaults()
 	var res MigrateBenchResult
-	c := cluster.New(cluster.Options{
+	s := StackSpec{
 		Nodes:  cfg.Nodes,
 		Vnodes: cfg.Vnodes,
+		Place:  cfg.Place,
 		Store: store.Options{
 			Shards: cfg.Shards,
 			Engine: cfg.Engine,
@@ -125,17 +122,13 @@ func MigrateBench(cfg MigrateBenchConfig) (MigrateBenchResult, error) {
 			// locks, which MaxThreads sizes).
 			MaxThreads: cfg.Clients + 8,
 		},
-	})
-	defer c.Close()
-
-	if cfg.Preload > 0 {
-		cl := c.Dial(0)
-		err := workload.Preload(store.Driver{C: cl}, cfg.Preload, cfg.ValueSize)
-		cl.Close()
-		if err != nil {
-			return res, fmt.Errorf("preload: %w", err)
-		}
+		Window: 1,
+	}.build()
+	defer s.close()
+	if err := s.preload(cfg.Preload, cfg.ValueSize); err != nil {
+		return res, fmt.Errorf("preload: %w", err)
 	}
+	c := s.c
 
 	// Traffic: lock-step routed clients, 90:10 get:put — lock-step
 	// because a per-op client is the most sensitive probe of the commit

@@ -25,37 +25,6 @@ const placeShards = 16
 // to one of the others, so it would only duplicate a row.
 var placePolicies = []topo.Policy{topo.PolicyNone, topo.PolicyCompact, topo.PolicyScatter}
 
-// runPlacedScenario measures one engine under one policy × distribution
-// over the wire (the wire path is where conn-goroutine pinning lives).
-func runPlacedScenario(s Shard, eng store.Engine, pl *topo.Placement, dist workload.Dist) (float64, error) {
-	ops := nativeOps(s.Config) / 4
-	if ops < 200 {
-		ops = 200
-	}
-	st := store.New(store.Options{
-		Shards:     placeShards,
-		Engine:     eng,
-		MaxThreads: s.Threads + 2,
-		Placement:  pl,
-	})
-	defer st.Close()
-	srv := store.NewServer(st, 2)
-	scenario := workload.Scenario{
-		Dist:    dist,
-		Mix:     workload.Mix{Get: 95, Put: 5},
-		Preload: 2048,
-		Phases:  workload.RampSteady(s.Threads, ops),
-		Batch:   4,
-	}
-	results, err := workload.Run(scenario, func(int) (workload.Conn, error) {
-		return store.Driver{C: srv.PipeAsyncClient(4)}, nil
-	})
-	if err != nil {
-		return 0, err
-	}
-	return results[len(results)-1].Kops(), nil
-}
-
 func init() {
 	// place/<engine>: the measured half — every policy × balanced and
 	// skewed keys on this engine, over the discovered host topology.
@@ -67,7 +36,7 @@ func init() {
 				"(none, compact, scatter) × uniform/zipfian keys, wire Kops/s", eng),
 			On: []string{Native},
 			Runner: func(s Shard) ([]Sample, error) {
-				var out []Sample
+				var cells []stackCell
 				for _, pol := range placePolicies {
 					var pl *topo.Placement
 					if pol.Pins() {
@@ -77,17 +46,20 @@ func init() {
 						workload.NewUniform(4096),
 						workload.NewZipfian(4096, 0),
 					} {
-						kops, err := runPlacedScenario(s, eng, pl, dist)
-						if err != nil {
-							return nil, err
-						}
-						out = append(out, Sample{
-							Metric: fmt.Sprintf("%s/%s Kops/s", pol, dist.Name()),
-							Value:  kops,
+						// Over the wire, where conn-goroutine pinning lives.
+						sc := stackScenario(s, dist)
+						sc.Batch = 4
+						cells = append(cells, stackCell{
+							fmt.Sprintf("%s/%s Kops/s", pol, dist.Name()),
+							StackSpec{
+								Store:    store.Options{Shards: placeShards, Engine: eng, MaxThreads: s.Threads + 2, Placement: pl},
+								Window:   4,
+								Scenario: sc,
+							},
 						})
 					}
 				}
-				return out, nil
+				return runCells(cells)
 			},
 		})
 	}

@@ -234,8 +234,20 @@ func (r PhaseResult) String() string {
 
 // Key formats a key index the way every load generator in the repository
 // does: fixed width, so lexicographic prefix scans align with numeric
-// ranges.
-func Key(i uint64) string { return fmt.Sprintf("key-%08d", i) }
+// ranges. It is fmt.Sprintf("key-%08d", i) without fmt's boxing: the
+// digits are written backwards into a stack buffer, zero-padded to 8.
+func Key(i uint64) string {
+	var b [24]byte // "key-" and up to 20 digits
+	n := len(b)
+	for w := 0; w < 8 || i > 0; w++ {
+		n--
+		b[n] = byte('0' + i%10)
+		i /= 10
+	}
+	n -= len("key-")
+	copy(b[n:], "key-")
+	return string(b[n:])
+}
 
 // Run executes the scenario's phases in order. dial(i) opens client i's
 // backend connection; each phase dials its clients fresh and closes them,

@@ -3,6 +3,7 @@ package workload
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"testing"
 )
@@ -225,6 +226,11 @@ func TestKeyFormat(t *testing.T) {
 	// Fixed width keeps lexicographic order aligned with numeric order.
 	if Key(9) >= Key(10) {
 		t.Fatal("key order broken")
+	}
+	for _, i := range []uint64{0, 9, 10, 99999999, 100000000, math.MaxUint64} {
+		if got, want := Key(i), fmt.Sprintf("key-%08d", i); got != want {
+			t.Errorf("Key(%d) = %q, want %q", i, got, want)
+		}
 	}
 }
 
